@@ -13,6 +13,14 @@ Conventions used everywhere in this package:
 * coefficients with magnitude below ``PRUNE_TOL`` are dropped after every
   operation.
 
+Every string is encoded at once into flip bits x (X or Y) and phase bits z
+(Z or Y), so that string = i^|x & z| X^x Z^z.  Products work on these masks.
+Dense conversion and statevector action share one kernel: the terms are
+grouped by flip mask x, and one Walsh-Hadamard transform over z of the
+coefficients c(x, z) i^|x & z| gives the diagonal d_x with
+op|i> = sum_x d_x[i] |i ^ x>.  The masks are processed in chunks of a fixed
+entry count, so no step beyond the dense result holds a 2^n x 2^n array.
+
 Values are treated as immutable after construction and all operations are
 pure functions, so operators can be shared freely between threads.
 """
@@ -56,6 +64,12 @@ _PHASE_ARR = np.array(_I_POW, dtype=np.complex128)
 _SMALL_PRODUCT_LIMIT = 4096
 # bincount accumulation allocates 4^n bins; beyond this fall back to np.unique
 _BINCOUNT_MAX_N = 10
+# dense conversion and statevector action transform this many entries at a time
+_CHUNK_ENTRIES = 1 << 18
+
+# ASCII byte of a letter -> 2*x + z
+_LETTER_CODE = np.zeros(256, dtype=np.uint8)
+_LETTER_CODE[[ord(ch) for ch in _XZ]] = [2 * x + z for x, z in _XZ.values()]
 
 _SINGLE_MATS = {
     "I": np.eye(2, dtype=np.complex128),
@@ -78,6 +92,8 @@ class UnitVector3:
     z: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+            raise ValueError(f"non-finite vector component: ({self.x}, {self.y}, {self.z})")
         norm_sq = self.x * self.x + self.y * self.y + self.z * self.z
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(
@@ -243,26 +259,21 @@ def _product_small(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return _make(a.n, {s: c for s, c in out.items() if abs(c) > PRUNE_TOL})
 
 
-def _encode_masks(op: PauliOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, z) bitmask arrays plus coefficients; bit n-1-k <-> string position k."""
+def _encode(op: PauliOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flip bits x, phase bits z, Y counts |x & z| and coefficients of every term.
+
+    Bit n-1-k of x and z belongs to string position k.  All strings are
+    encoded at once from their joined ASCII bytes.
+    """
     n = op.n
-    count = len(op.terms)
-    xs = np.zeros(count, dtype=np.uint64)
-    zs = np.zeros(count, dtype=np.uint64)
-    cs = np.empty(count, dtype=np.complex128)
-    for i, (s, c) in enumerate(op.terms.items()):
-        x = z = 0
-        for k, ch in enumerate(s):
-            bx, bz = _XZ[ch]
-            bit = 1 << (n - 1 - k)
-            if bx:
-                x |= bit
-            if bz:
-                z |= bit
-        xs[i] = x
-        zs[i] = z
-        cs[i] = c
-    return xs, zs, cs
+    letters = np.frombuffer("".join(op.terms).encode("ascii"), dtype=np.uint8)
+    codes = _LETTER_CODE[letters].reshape(-1, n)
+    weights = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
+    xs = (codes >> 1) @ weights
+    zs = (codes & 1) @ weights
+    ys = np.bitwise_count(xs & zs).astype(np.int64)
+    cs = np.fromiter(op.terms.values(), dtype=np.complex128, count=len(op.terms))
+    return xs, zs, ys, cs
 
 
 def _decode_key(key: int, n: int) -> str:
@@ -277,10 +288,8 @@ def _decode_key(key: int, n: int) -> str:
 
 def _product_large(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     n = a.n
-    xa, za, ca = _encode_masks(a)
-    xb, zb, cb = _encode_masks(b)
-    ya = np.bitwise_count(xa & za).astype(np.int64)
-    yb = np.bitwise_count(xb & zb).astype(np.int64)
+    xa, za, ya, ca = _encode(a)
+    xb, zb, yb, cb = _encode(b)
 
     use_bincount = n <= _BINCOUNT_MAX_N
     if use_bincount:
@@ -381,26 +390,45 @@ def embed(op: PauliOperator, particle: int, n: int) -> PauliOperator:
 # ---- dense conversion and statevector action ------------------------------
 
 
-def _flip_mask(string: str, n: int) -> int:
-    mask = 0
-    for k, ch in enumerate(string):
-        if ch in ("X", "Y"):
-            mask |= 1 << (n - 1 - k)
-    return mask
+def _flip_blocks(op: PauliOperator):
+    """Yield (flip masks, diagonals) for the distinct flip masks of ``op``, in chunks.
+
+    A string with flip bits x and phase bits z acts as
+    P|i> = i^|x & z| (-1)^popcount(z & i) |i ^ x>.  Summing the terms that
+    share x gives  sum_z c(x, z) P(x, z) |i> = d_x[i] |i ^ x>  with
+    d_x[i] = sum_z c(x, z) i^|x & z| (-1)^popcount(z & i), which is the
+    Walsh-Hadamard transform over z of the phase-folded coefficients.  Each
+    yielded block holds the rows d_x for at most ``_CHUNK_ENTRIES // 2^n``
+    masks (at least one).
+    """
+    dim = 1 << op.n
+    xs, zs, ys, cs = _encode(op)
+    masks, group = np.unique(xs.astype(np.int64), return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    group, zs = group[order], zs[order].astype(np.int64)
+    cs = (cs * _PHASE_ARR[ys & 3])[order]
+    per_chunk = max(1, _CHUNK_ENTRIES // dim)
+    for first in range(0, len(masks), per_chunk):
+        last = min(first + per_chunk, len(masks))
+        lo, hi = np.searchsorted(group, (first, last))
+        diag = np.zeros((last - first, dim), dtype=np.complex128)
+        # distinct strings are distinct (x, z) pairs, so no slot is written twice
+        diag[group[lo:hi] - first, zs[lo:hi]] = cs[lo:hi]
+        _walsh_hadamard(diag)
+        yield masks[first:last], diag
 
 
-def _term_phases(string: str, idx: np.ndarray, n: int) -> np.ndarray:
-    """Phase picked up by basis state ``idx`` under the string (before bit flips)."""
-    phases = np.ones(idx.shape, dtype=np.complex128)
-    for k, ch in enumerate(string):
-        if ch == "I" or ch == "X":
-            continue
-        sign = 1.0 - 2.0 * ((idx >> (n - 1 - k)) & 1)
-        if ch == "Y":
-            phases = phases * (1j * sign)
-        else:  # Z
-            phases = phases * sign
-    return phases
+def _walsh_hadamard(rows: np.ndarray) -> None:
+    """Unnormalised Walsh-Hadamard transform of each row, in place."""
+    count, dim = rows.shape
+    half = 1
+    while half < dim:
+        pairs = rows.reshape(count, -1, 2, half)
+        low, high = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        diff = low - high
+        low += high
+        high[...] = diff
+        half *= 2
 
 
 def to_dense(op: PauliOperator, limit: int = DENSE_LIMIT) -> np.ndarray:
@@ -412,9 +440,8 @@ def to_dense(op: PauliOperator, limit: int = DENSE_LIMIT) -> np.ndarray:
     dim = 1 << op.n
     idx = np.arange(dim)
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    for s, c in op.terms.items():
-        flip = _flip_mask(s, op.n)
-        mat[idx ^ flip, idx] += c * _term_phases(s, idx, op.n)
+    for masks, diag in _flip_blocks(op):
+        mat[masks[:, None] ^ idx, idx] = diag
     return mat
 
 
@@ -426,10 +453,10 @@ def apply_operator(op: PauliOperator, state: np.ndarray) -> np.ndarray:
         raise ValueError(f"state must have shape ({dim},), got {state.shape}")
     idx = np.arange(dim)
     out = np.zeros(dim, dtype=np.complex128)
-    for s, c in op.terms.items():
-        flip = _flip_mask(s, op.n)
-        # idx ^ flip is a permutation, so the fancy-indexed add has no collisions
-        out[idx ^ flip] += c * _term_phases(s, idx, op.n) * state
+    for masks, diag in _flip_blocks(op):
+        # row x of diag * state lands on i ^ x: out[j] += (d_x * state)[j ^ x]
+        diag *= state
+        out += np.take_along_axis(diag, masks[:, None] ^ idx, axis=1).sum(axis=0)
     return out
 
 

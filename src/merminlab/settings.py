@@ -77,6 +77,8 @@ class PlanarSettings:
         )
         if len(self.angles) < 2:
             raise ValueError("need settings for at least two particles")
+        if not all(math.isfinite(a) for pair in self.angles for a in pair):
+            raise ValueError("planar angles must be finite")
 
     @property
     def n(self) -> int:
@@ -125,7 +127,33 @@ def settings_to_json(settings: AnySettings) -> dict:
     }
 
 
+def _number(value, what: str) -> float:
+    # bool is an int subclass, but true/false is not an angle or a component
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large: {value}") from None
+
+
+def _entries(data: dict, key: str, n: int) -> list:
+    entries = data[key]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"'{key}' must be a list of objects")
+    if len(entries) != n:
+        raise ValueError(f"'{key}' has {len(entries)} entries, expected n={n}")
+    return entries
+
+
+def _vector(value, what: str) -> UnitVector3:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError(f"{what} must be a list of three numbers")
+    return UnitVector3(*(_number(v, what) for v in value))
+
+
 def settings_from_json(data: dict) -> AnySettings:
+    """Parse the JSON settings format; every shape or value error is a ValueError."""
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("settings JSON must be an object with an 'n' field")
     n = data["n"]
@@ -134,24 +162,18 @@ def settings_from_json(data: dict) -> AnySettings:
     if ("planar" in data) == ("pairs" in data):
         raise ValueError("settings JSON needs exactly one of 'planar' or 'pairs'")
     if "planar" in data:
-        entries = data["planar"]
-        if len(entries) != n:
-            raise ValueError(f"'planar' has {len(entries)} entries, expected n={n}")
         return PlanarSettings(
-            tuple((float(e["phi"]), float(e["phi_prime"])) for e in entries)
+            tuple(
+                (_number(e["phi"], "'phi'"), _number(e["phi_prime"], "'phi_prime'"))
+                for e in _entries(data, "planar", n)
+            )
         )
-    entries = data["pairs"]
-    if len(entries) != n:
-        raise ValueError(f"'pairs' has {len(entries)} entries, expected n={n}")
-    pairs = []
-    for e in entries:
-        a, b = e["a"], e["b"]
-        if len(a) != 3 or len(b) != 3:
-            raise ValueError("direction vectors must have three components")
-        pairs.append(
-            SettingPair(UnitVector3(*map(float, a)), UnitVector3(*map(float, b)))
+    return MeasurementSettings(
+        tuple(
+            SettingPair(_vector(e["a"], "'a'"), _vector(e["b"], "'b'"))
+            for e in _entries(data, "pairs", n)
         )
-    return MeasurementSettings(tuple(pairs))
+    )
 
 
 def load_settings(path: str | Path) -> AnySettings:

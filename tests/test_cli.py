@@ -177,6 +177,31 @@ class TestSpectrum:
         assert proc.returncode == 2
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "pairs": [{"a": [NaN, 0, 0], "b": [0, 1, 0]},'
+            ' {"a": [1, 0, 0], "b": [0, 1, 0]}]}',
+            '{"n": 3, "planar": 5}',
+            '{"n": 2, "planar": [{"phi": NaN, "phi_prime": 0},'
+            ' {"phi": 0, "phi_prime": 1}]}',
+        ],
+        ids=["nan_component", "planar_not_a_list", "nan_phi"],
+    )
+    def test_bad_settings_are_contract_errors(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        commands = [("spectrum", "--settings", str(path))]
+        if "planar" in text:
+            commands.append(("reduce", "--n", "2", "--m", "1", "--settings", str(path)))
+        for command in commands:
+            proc = run_cli(*command)
+            assert proc.returncode == 2, proc.stdout
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1
+
+
 class TestLhv:
     def test_documented_example(self):
         report, code = run_json("lhv", "--n", "5")

@@ -1,10 +1,13 @@
 """Pauli-string algebra against independent dense oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from merminlab import pauli
+from merminlab.bell import mermin_operator
 from merminlab.pauli import (
     PauliOperator,
     ResourceLimitError,
@@ -17,7 +20,7 @@ from merminlab.pauli import (
     single_spin_operator,
     to_dense,
 )
-from merminlab.settings import random_unit_vector
+from merminlab.settings import random_settings, random_unit_vector
 
 from conftest import dense_oracle, random_operator
 
@@ -147,6 +150,23 @@ class TestEmbedding:
             embed(PauliOperator(2, {"XX": 1.0}), 1, 3)
 
 
+def _kernel_case(name):
+    """Operators that stress the flip-mask kernel behind to_dense and apply_operator."""
+    rng = np.random.default_rng(15)
+    if name == "zero":
+        return PauliOperator.zero(3)
+    if name == "one_particle":
+        return random_operator(1, 6, rng)
+    if name == "all_y":
+        # Y counts 0..5: the phase i^|x & z| wraps mod 4
+        strings = ["".join(p) for p in itertools.product("IY", repeat=5)]
+        return PauliOperator(5, {s: complex(*rng.normal(size=2)) for s in strings})
+    if name == "every_flip_mask":
+        strings = ["".join(p) for p in itertools.product("IXYZ", repeat=5)]
+        return PauliOperator(5, {s: complex(*rng.normal(size=2)) for s in strings})
+    return mermin_operator(random_settings(6, rng))
+
+
 class TestDenseAndApply:
     def test_to_dense_matches_kron_oracle(self):
         rng = np.random.default_rng(12)
@@ -160,8 +180,29 @@ class TestDenseAndApply:
             op = random_operator(n, 10, rng)
             state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             got = apply_operator(op, state)
-            want = to_dense(op) @ state
+            want = dense_oracle(op) @ state
             assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "case", ["zero", "one_particle", "all_y", "every_flip_mask", "mermin_pairs"]
+    )
+    def test_dense_and_apply_match_kron_oracle(self, case):
+        op = _kernel_case(case)
+        want = dense_oracle(op)
+        assert np.max(np.abs(to_dense(op) - want)) < 1e-12
+        rng = np.random.default_rng(16)
+        state = rng.normal(size=1 << op.n) + 1j * rng.normal(size=1 << op.n)
+        assert np.max(np.abs(apply_operator(op, state) - want @ state)) < 1e-12
+
+    @pytest.mark.parametrize("entries", [1, 64, 96])
+    def test_flip_mask_chunks_match_kron_oracle(self, monkeypatch, entries):
+        # n = 5 has 32 flip masks of 32 entries: 1, 2 or 3 masks per chunk
+        monkeypatch.setattr(pauli, "_CHUNK_ENTRIES", entries)
+        op = _kernel_case("every_flip_mask")
+        want = dense_oracle(op)
+        assert np.max(np.abs(to_dense(op) - want)) < 1e-12
+        state = np.random.default_rng(17).normal(size=32) + 0j
+        assert np.max(np.abs(apply_operator(op, state) - want @ state)) < 1e-12
 
     def test_dense_limit_enforced(self):
         with pytest.raises(ResourceLimitError):

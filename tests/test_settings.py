@@ -127,3 +127,36 @@ def test_wrap_angle_range_and_identity():
     assert wrap_angle(math.pi) == math.pi
     assert wrap_angle(-math.pi) == math.pi
     assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(ValueError):
+        UnitVector3(bad, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        PlanarSettings(((0.0, bad), (0.0, 1.0)))
+
+
+_UNIT_PAIR = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 3, "planar": 5},
+        {"n": 2, "planar": [[0.0, 1.0], [0.0, 1.0]]},
+        {"n": 2, "planar": [{"phi": math.nan, "phi_prime": 0.0}] * 2},
+        {"n": 2, "planar": [{"phi": "0", "phi_prime": 0.0}] * 2},
+        {"n": 2, "planar": [{"phi": True, "phi_prime": 0.0}] * 2},
+        {"n": 2, "planar": [{"phi": 10**400, "phi_prime": 0.0}] * 2},
+        {"n": 2, "pairs": {"a": [1, 0, 0], "b": [0, 1, 0]}},
+        {"n": 2, "pairs": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+        {"n": 2, "pairs": [{"a": [math.nan, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}, _UNIT_PAIR]},
+        {"n": 2, "pairs": [{"a": [None, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}, _UNIT_PAIR]},
+        {"n": 2, "pairs": [{"a": 1.0, "b": [0.0, 1.0, 0.0]}, _UNIT_PAIR]},
+        {"n": 2, "pairs": [{"a": [1.0, 0.0], "b": [0.0, 1.0, 0.0]}, _UNIT_PAIR]},
+    ],
+)
+def test_settings_from_json_rejects_bad_shapes_and_values(data):
+    with pytest.raises(ValueError):
+        settings_from_json(data)
