@@ -51,7 +51,6 @@ from .bell import (
     site_anticommutators,
     site_commutators,
     three_particle_operator,
-    three_particle_square_expansion,
 )
 from .spectra import (
     LhvResult,

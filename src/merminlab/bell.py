@@ -179,24 +179,6 @@ def chsh_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
     )
 
 
-def three_particle_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
-    """B^2 = 4 I - C1 C2 - C1 C3 - C2 C3 for the three-particle operator."""
-    if settings.n != 3:
-        raise ValueError("three_particle_square_expansion needs exactly three particles")
-    c1, c2, c3 = site_commutators(settings)
-    expansion = (
-        PauliOperator.identity(3, 4.0) - c1 * c2 - c1 * c3 - c2 * c3
-    )
-    b = three_particle_operator(settings)
-    return ExpansionReport(
-        n=3,
-        expansion=expansion,
-        group_term_counts={2: 3},
-        final_term_count=0,
-        residual=expansion.max_coeff_diff(b * b),
-    )
-
-
 def mermin_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
     """Full commutator expansion of B^2 for any n >= 3, residual-checked."""
     n = settings.n

@@ -42,7 +42,6 @@ from .bell import (
     mermin_square_expansion,
     planar_square_diagonal,
     reduction_check,
-    three_particle_square_expansion,
 )
 from .spectra import degeneracy_pairing, eigen_hermitian, lhv_max, violation_table
 from .optimize import OptimizeConfig, optimize_angles, quantum_ceiling
@@ -57,6 +56,13 @@ def _seed_type(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
+    return value
+
+
+def _tol_type(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError("tolerance must be a finite number >= 0")
     return value
 
 
@@ -132,7 +138,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         args.trials,
         args.tol,
         lambda: max(
-            three_particle_square_expansion(random_settings(3, rng)).residual
+            mermin_square_expansion(random_settings(3, rng)).residual
             for _ in range(args.trials)
         ),
     )
@@ -417,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--trials", type=int, default=20, help="random settings per check")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tol_type, default=1e-10)
     common(p)
     p.set_defaults(handler=cmd_verify)
 
@@ -431,13 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True, help="degenerate particle count")
     p.add_argument("--settings", help="planar settings JSON for the base angles")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tol_type, default=1e-10)
     common(p)
     p.set_defaults(handler=cmd_reduce)
 
     p = sub.add_parser("spectrum", help="eigenvalue clusters for a settings file")
     p.add_argument("--settings", required=True, help="settings JSON (planar or pairs)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tol_type, default=1e-9)
     common(p)
     p.set_defaults(handler=cmd_spectrum)
 

@@ -14,7 +14,11 @@ Conventions used everywhere in this package:
   operation.
 
 Every string is encoded at once into flip bits x (X or Y) and phase bits z
-(Z or Y), so that string = i^|x & z| X^x Z^z.  Products work on these masks.
+(Z or Y), so that string = i^|x & z| X^x Z^z.  One product kernel serves all
+sizes: it combines the masks of all term pairs at once and sums coefficients
+per packed key (x << n) | z, which caps products at n = 32.  Up to n = 10 the
+sums go into 4^n bincount bins, the fastest route; above that the bins take
+too much memory (256 MiB at n = 12), so keys are merged by sorting instead.
 Dense conversion and statevector action share one kernel: the terms are
 grouped by flip mask x, and one Walsh-Hadamard transform over z of the
 coefficients c(x, z) i^|x & z| gives the diagonal d_x with
@@ -40,36 +44,24 @@ PRUNE_TOL = 1e-13
 #: default cap on dense conversions: 2^12 x 2^12 complex is ~256 MB
 DENSE_LIMIT = 12
 
-# Letter products come from the symplectic encoding L = i^(x*z) X^x Z^z with
-# I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).  For L1*L2 = phase * L3 the phase is
-# i^(x1*z1 + x2*z2 + 2*z1*x2 - x3*z3 mod 4).
-_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_FROM_XZ = {bits: letter for letter, bits in _XZ.items()}
-_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+# Letters use the symplectic encoding L = i^(x*z) X^x Z^z with I=(0,0),
+# X=(1,0), Y=(1,1), Z=(0,1), coded as 2*x + z.  _CODE_LETTER maps a code to
+# the letter's ASCII byte and _LETTER_CODE maps the byte back.
+_CODE_LETTER = np.frombuffer(b"IZXY", dtype=np.uint8)
+_LETTER_CODE = np.zeros(256, dtype=np.uint8)
+_LETTER_CODE[_CODE_LETTER] = np.arange(4)
 
+# i^k for k = 0..3
+_PHASE_ARR = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 
-def _letter_product(a: str, b: str) -> tuple[complex, str]:
-    x1, z1 = _XZ[a]
-    x2, z2 = _XZ[b]
-    x3, z3 = x1 ^ x2, z1 ^ z2
-    exponent = (x1 * z1 + x2 * z2 + 2 * (z1 & x2) - x3 * z3) % 4
-    return _I_POW[exponent], _FROM_XZ[(x3, z3)]
-
-
-_PAIR = {(a, b): _letter_product(a, b) for a in LETTERS for b in LETTERS}
-
-_PHASE_ARR = np.array(_I_POW, dtype=np.complex128)
-
-# above this many coefficient pairs, products switch to the bitmask kernel
-_SMALL_PRODUCT_LIMIT = 4096
 # bincount accumulation allocates 4^n bins; beyond this fall back to np.unique
 _BINCOUNT_MAX_N = 10
+# a product key packs (x << n) | z into a uint64, so 2n bits must fit
+_KEY_MAX_N = 32
+# products combine this many term pairs at a time
+_CHUNK_PAIRS = 4_000_000
 # dense conversion and statevector action transform this many entries at a time
 _CHUNK_ENTRIES = 1 << 18
-
-# ASCII byte of a letter -> 2*x + z
-_LETTER_CODE = np.zeros(256, dtype=np.uint8)
-_LETTER_CODE[[ord(ch) for ch in _XZ]] = [2 * x + z for x, z in _XZ.values()]
 
 _SINGLE_MATS = {
     "I": np.eye(2, dtype=np.complex128),
@@ -142,7 +134,7 @@ class PauliOperator:
         clean: dict[str, complex] = {}
         if terms:
             for string, coeff in terms.items():
-                if len(string) != n or any(ch not in _XZ for ch in string):
+                if len(string) != n or any(ch not in LETTERS for ch in string):
                     raise ValueError(f"bad Pauli string {string!r} for n={n}")
                 c = complex(coeff)
                 if abs(c) > PRUNE_TOL:
@@ -242,23 +234,6 @@ class PauliOperator:
 # ---- products -------------------------------------------------------------
 
 
-def _product_small(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    out: dict[str, complex] = {}
-    for s1, c1 in a.terms.items():
-        for s2, c2 in b.terms.items():
-            phase = c1 * c2
-            letters = []
-            for ch1, ch2 in zip(s1, s2):
-                p, ch = _PAIR[(ch1, ch2)]
-                if p != 1.0:
-                    phase *= p
-                letters.append(ch)
-            key = "".join(letters)
-            acc = out.get(key, 0.0 + 0.0j) + phase
-            out[key] = acc
-    return _make(a.n, {s: c for s, c in out.items() if abs(c) > PRUNE_TOL})
-
-
 def _encode(op: PauliOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flip bits x, phase bits z, Y counts |x & z| and coefficients of every term.
 
@@ -276,31 +251,49 @@ def _encode(op: PauliOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return xs, zs, ys, cs
 
 
-def _decode_key(key: int, n: int) -> str:
-    x = key >> n
-    z = key & ((1 << n) - 1)
-    letters = []
-    for k in range(n):
-        bit = 1 << (n - 1 - k)
-        letters.append(_FROM_XZ[(1 if x & bit else 0, 1 if z & bit else 0)])
-    return "".join(letters)
+def _decode(keys: np.ndarray, n: int) -> list[str]:
+    """Strings of packed ``(x << n) | z`` keys; the inverse of ``_encode``."""
+    bits = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    keys = keys.astype(np.uint64)[:, None]
+    x = (keys >> (bits + np.uint64(n))) & np.uint64(1)
+    z = (keys >> bits) & np.uint64(1)
+    text = _CODE_LETTER[2 * x + z].tobytes().decode("ascii")
+    return [text[i : i + n] for i in range(0, len(text), n)]
 
 
-def _product_large(a: PauliOperator, b: PauliOperator) -> PauliOperator:
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and the sum of the values under each."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse, weights=vals.real) + 1j * np.bincount(
+        inverse, weights=vals.imag
+    )
+    return uniq, sums
+
+
+def _product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
+    """a*b over all term pairs, in chunks of about ``_CHUNK_PAIRS`` pairs.
+
+    String (x1, z1) times (x2, z2) is string (x1 ^ x2, z1 ^ z2) = (x3, z3)
+    times i^(|x1 & z1| + |x2 & z2| + 2|z1 & x2| - |x3 & z3|).
+    """
+    a._check_same_n(b)
     n = a.n
+    if n > _KEY_MAX_N:
+        raise ResourceLimitError(
+            f"product keys hold 2n bits of a uint64; n={n} exceeds {_KEY_MAX_N}"
+        )
+    if not a.terms or not b.terms:
+        return PauliOperator.zero(n)
     xa, za, ya, ca = _encode(a)
     xb, zb, yb, cb = _encode(b)
 
     use_bincount = n <= _BINCOUNT_MAX_N
     if use_bincount:
-        dim = 1 << (2 * n)
-        acc_re = np.zeros(dim, dtype=np.float64)
-        acc_im = np.zeros(dim, dtype=np.float64)
+        acc = np.zeros(1 << (2 * n), dtype=np.complex128)
     else:
-        key_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
 
-    rows_per_chunk = max(1, 4_000_000 // max(len(cb), 1))
+    rows_per_chunk = max(1, _CHUNK_PAIRS // len(cb))
     shift = np.uint64(n)
     for start in range(0, len(ca), rows_per_chunk):
         sl = slice(start, start + rows_per_chunk)
@@ -316,42 +309,19 @@ def _product_large(a: PauliOperator, b: PauliOperator) -> PauliOperator:
         key = ((x3 << shift) | z3).ravel()
         if use_bincount:
             idx = key.astype(np.int64)
-            acc_re += np.bincount(idx, weights=coeff.real, minlength=dim)
-            acc_im += np.bincount(idx, weights=coeff.imag, minlength=dim)
+            acc.real += np.bincount(idx, weights=coeff.real, minlength=acc.size)
+            acc.imag += np.bincount(idx, weights=coeff.imag, minlength=acc.size)
         else:
-            uniq, inverse = np.unique(key, return_inverse=True)
-            val = np.bincount(inverse, weights=coeff.real) + 1j * np.bincount(
-                inverse, weights=coeff.imag
-            )
-            key_parts.append(uniq)
-            val_parts.append(val)
+            parts.append(_sum_by_key(key, coeff))
 
-    terms: dict[str, complex] = {}
     if use_bincount:
-        acc = acc_re + 1j * acc_im
-        for key in np.nonzero(np.abs(acc) > PRUNE_TOL)[0]:
-            terms[_decode_key(int(key), n)] = complex(acc[key])
+        keys = np.flatnonzero(np.abs(acc) > PRUNE_TOL)
+        vals = acc[keys]
     else:
-        all_keys = np.concatenate(key_parts)
-        all_vals = np.concatenate(val_parts)
-        uniq, inverse = np.unique(all_keys, return_inverse=True)
-        merged = np.bincount(inverse, weights=all_vals.real) + 1j * np.bincount(
-            inverse, weights=all_vals.imag
-        )
-        keep = np.abs(merged) > PRUNE_TOL
-        for key, val in zip(uniq[keep], merged[keep]):
-            terms[_decode_key(int(key), n)] = complex(val)
-    return _make(n, terms)
-
-
-def _product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    a._check_same_n(b)
-    pairs = len(a.terms) * len(b.terms)
-    if pairs == 0:
-        return PauliOperator.zero(a.n)
-    if pairs <= _SMALL_PRODUCT_LIMIT:
-        return _product_small(a, b)
-    return _product_large(a, b)
+        keys, vals = _sum_by_key(*(np.concatenate(part) for part in zip(*parts)))
+        keep = np.abs(vals) > PRUNE_TOL
+        keys, vals = keys[keep], vals[keep]
+    return _make(n, dict(zip(_decode(keys, n), vals.tolist())))
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:

@@ -137,12 +137,16 @@ def _number(value, what: str) -> float:
         raise ValueError(f"{what} is too large: {value}") from None
 
 
-def _entries(data: dict, key: str, n: int) -> list:
+def _entries(data: dict, key: str, n: int, fields: tuple[str, str]) -> list:
     entries = data[key]
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"'{key}' must be a list of objects")
     if len(entries) != n:
         raise ValueError(f"'{key}' has {len(entries)} entries, expected n={n}")
+    for index, entry in enumerate(entries, start=1):
+        for field in fields:
+            if field not in entry:
+                raise ValueError(f"'{key}' entry {index} is missing '{field}'")
     return entries
 
 
@@ -153,7 +157,10 @@ def _vector(value, what: str) -> UnitVector3:
 
 
 def settings_from_json(data: dict) -> AnySettings:
-    """Parse the JSON settings format; every shape or value error is a ValueError."""
+    """Parse the JSON settings format; every shape or value error is a ValueError.
+
+    Entries are numbered from 1 in error messages, like particles.
+    """
     if not isinstance(data, dict) or "n" not in data:
         raise ValueError("settings JSON must be an object with an 'n' field")
     n = data["n"]
@@ -165,13 +172,13 @@ def settings_from_json(data: dict) -> AnySettings:
         return PlanarSettings(
             tuple(
                 (_number(e["phi"], "'phi'"), _number(e["phi_prime"], "'phi_prime'"))
-                for e in _entries(data, "planar", n)
+                for e in _entries(data, "planar", n, ("phi", "phi_prime"))
             )
         )
     return MeasurementSettings(
         tuple(
             SettingPair(_vector(e["a"], "'a'"), _vector(e["b"], "'b'"))
-            for e in _entries(data, "pairs", n)
+            for e in _entries(data, "pairs", n, ("a", "b"))
         )
     )
 

@@ -19,7 +19,7 @@ from merminlab.bell import (
     mermin_square_expansion,
     planar_square_diagonal,
     reduction_check,
-    three_particle_square_expansion,
+    three_particle_operator,
 )
 from merminlab.spectra import (
     degeneracy_pairing,
@@ -62,10 +62,11 @@ def test_02_two_and_three_particle_forms():
     worst2 = max(
         chsh_square_expansion(random_settings(2, rng)).residual for _ in range(50)
     )
-    worst3 = max(
-        three_particle_square_expansion(random_settings(3, rng)).residual
-        for _ in range(50)
-    )
+    worst3 = 0.0
+    for _ in range(50):
+        s = random_settings(3, rng)
+        b = three_particle_operator(s)
+        worst3 = max(worst3, mermin_square_expansion(s).expansion.max_coeff_diff(b * b))
     ok_res = worst2 < 1e-12 and worst3 < 1e-12
 
     chsh_max = float(np.max(np.abs(np.linalg.eigvalsh(to_dense(chsh_operator(canonical_settings(2)))))))

@@ -27,7 +27,6 @@ from merminlab.bell import (
     site_anticommutators,
     site_commutators,
     three_particle_operator,
-    three_particle_square_expansion,
 )
 from merminlab.pauli import UnitVector3
 
@@ -115,11 +114,13 @@ class TestSquareExpansions:
         assert worst < 1e-12
 
     def test_three_particle_square_residual(self):
+        # the general expansion at n = 3 against the literal three-particle form
         rng = np.random.default_rng(32)
-        worst = max(
-            three_particle_square_expansion(random_settings(3, rng)).residual
-            for _ in range(25)
-        )
+        worst = 0.0
+        for _ in range(25):
+            s = random_settings(3, rng)
+            b = three_particle_operator(s)
+            worst = max(worst, mermin_square_expansion(s).expansion.max_coeff_diff(b * b))
         assert worst < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])

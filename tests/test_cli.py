@@ -263,6 +263,20 @@ class TestGlobalFlags:
         proc = run_cli("lhv", "--n", "3", "--seed", str(2**64))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, tol):
+        path = tmp_path / "planar.json"
+        save_settings(path, PlanarSettings(((0.0, 1.0), (0.0, 1.0))))
+        for command in (
+            ("verify", "--n-min", "3", "--n-max", "3", "--trials", "1"),
+            ("reduce", "--n", "4", "--m", "1"),
+            ("spectrum", "--settings", str(path)),
+        ):
+            proc = run_cli(*command, "--tol", tol)
+            assert proc.returncode == 2, (command, proc.stdout)
+            assert proc.stdout == ""
+            assert "tolerance must be a finite number >= 0" in proc.stderr
+
     def test_console_script_help(self):
         proc = run_cli("--help")
         assert proc.returncode == 0

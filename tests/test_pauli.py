@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from merminlab import pauli
 from merminlab.bell import mermin_operator
@@ -22,7 +23,7 @@ from merminlab.pauli import (
 )
 from merminlab.settings import random_settings, random_unit_vector
 
-from conftest import dense_oracle, random_operator
+from conftest import dense_oracle, letter_product_oracle, random_operator
 
 
 class TestLetterProducts:
@@ -48,36 +49,48 @@ class TestLetterProducts:
         assert prod.max_coeff_diff(PauliOperator(1, {"Z": -2j})) < 1e-15
 
 
+@st.composite
+def _operator_triples(draw):
+    n = draw(st.integers(1, 4))
+    strings = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    return [
+        PauliOperator(n, draw(st.dictionaries(strings, coeffs, max_size=8)))
+        for _ in range(3)
+    ]
+
+
 class TestProductHomomorphism:
-    """to_dense(a*b) == to_dense(a) @ to_dense(b) on random operators."""
+    """dense_oracle(a*b) == dense_oracle(a) @ dense_oracle(b) on random operators."""
 
     def test_small_path(self):
+        # few terms: at most 36 pairs
         rng = np.random.default_rng(101)
         for _ in range(30):
             n = int(rng.integers(1, 5))
             a = random_operator(n, 6, rng)
             b = random_operator(n, 6, rng)
-            got = to_dense(a * b)
-            want = to_dense(a) @ to_dense(b)
+            got = dense_oracle(a * b)
+            want = dense_oracle(a) @ dense_oracle(b)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_large_path(self):
-        # 80 x 80 terms exceeds the small-product threshold
+        # 80 x 80 terms: most of the 4^6 output strings collect several pairs
         rng = np.random.default_rng(102)
         for _ in range(3):
             a = random_operator(6, 80, rng)
             b = random_operator(6, 80, rng)
-            got = to_dense(a * b)
-            want = to_dense(a) @ to_dense(b)
+            got = dense_oracle(a * b)
+            want = dense_oracle(a) @ dense_oracle(b)
             assert np.max(np.abs(got - want)) < 1e-10
 
-    def test_paths_agree_exactly_on_same_input(self):
-        from merminlab.pauli import _product_large, _product_small
-
-        rng = np.random.default_rng(103)
-        a = random_operator(4, 20, rng)
-        b = random_operator(4, 20, rng)
-        assert _product_small(a, b).max_coeff_diff(_product_large(a, b)) < 1e-13
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(_operator_triples())
+    def test_random_operators_multiply_like_matrices(self, ops):
+        a, b, c = ops
+        got = dense_oracle(a * b)
+        assert np.max(np.abs(got - dense_oracle(a) @ dense_oracle(b))) < 1e-10
+        assert ((a * b) * c).max_coeff_diff(a * (b * c)) < 1e-10
 
     def test_associativity(self):
         rng = np.random.default_rng(104)
@@ -85,6 +98,32 @@ class TestProductHomomorphism:
         b = random_operator(3, 4, rng)
         c = random_operator(3, 4, rng)
         assert ((a * b) * c).max_coeff_diff(a * (b * c)) < 1e-12
+
+
+class TestLetterProductOracle:
+    """The product kernel against products formed one letter at a time."""
+
+    @pytest.mark.parametrize("chunk_pairs", [4_000_000, 700])
+    @pytest.mark.parametrize(
+        "n, terms",
+        # n = 7 sums into 4^n bins, n = 32 merges sorted keys and fills all 64 key bits
+        [(7, 60), (32, 65)],
+    )
+    def test_matches_letter_oracle(self, monkeypatch, chunk_pairs, n, terms):
+        monkeypatch.setattr(pauli, "_CHUNK_PAIRS", chunk_pairs)
+        rng = np.random.default_rng(105 + n)
+        for _ in range(3):
+            a = random_operator(n, terms, rng)
+            b = random_operator(n, terms, rng)
+            assert (a * b).max_coeff_diff(letter_product_oracle(a, b)) < 1e-12
+
+    def test_key_width_limit(self):
+        # (x << n) | z needs 2n bits of a uint64 key
+        op = PauliOperator.identity(33)
+        with pytest.raises(ResourceLimitError):
+            op * op
+        with pytest.raises(ResourceLimitError):
+            commutator(op, op)
 
 
 class TestSpinOperators:

@@ -160,3 +160,23 @@ _UNIT_PAIR = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}
 def test_settings_from_json_rejects_bad_shapes_and_values(data):
     with pytest.raises(ValueError):
         settings_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            {"n": 2, "planar": [{"phi": 0.0}, {"phi": 0.0, "phi_prime": 1.0}]},
+            "'planar' entry 1 is missing 'phi_prime'",
+        ),
+        (
+            {"n": 2, "planar": [{"phi": 0.0, "phi_prime": 1.0}, {"phi_prime": 1.0}]},
+            "'planar' entry 2 is missing 'phi'",
+        ),
+        ({"n": 2, "pairs": [_UNIT_PAIR, {"a": [1.0, 0.0, 0.0]}]}, "'pairs' entry 2 is missing 'b'"),
+    ],
+)
+def test_missing_entry_key_is_named(data, message):
+    with pytest.raises(ValueError) as excinfo:
+        settings_from_json(data)
+    assert str(excinfo.value) == message
