@@ -18,6 +18,7 @@ from .pauli import (
     embed,
     multiply,
     single_spin_operator,
+    tensor,
     to_dense,
 )
 from .settings import (
@@ -44,6 +45,7 @@ from .bell import (
     default_reduction_spec,
     degenerate_settings,
     mermin_operator,
+    mermin_square,
     mermin_square_expansion,
     planar_spectral_max,
     planar_square_diagonal,

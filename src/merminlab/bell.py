@@ -12,6 +12,18 @@ and anticommutators A_j = {sigma_j, sigma_j'}:
 with 2k running to n-1 for odd n; for even n the sum stops at n-2 and picks up
 the closing term (-1)^(n/2) (1/2) (prod_j C_j - prod_j A_j).
 
+Both sides are built from per-particle factors, never by multiplying n-particle
+operators.  With P = (x)_j (sigma_j + i sigma_j') and its partner Pbar,
+
+    B^2 = -(1/4) (P^2 + Pbar^2 - P Pbar - Pbar P),
+
+and each of the four products is the Kronecker product of 2x2 products, so the
+direct square costs O(4^n) instead of the O(9^n) of squaring the 3^n terms of
+B.  The inner sums are elementary symmetric polynomials e_2k(C_1, ..., C_n) of
+commuting operators on distinct particles; they are the parts of
+(x)_j (I + C_j) with 2k non-identity letters, built in n Kronecker steps
+instead of C(n, 2k) subset products each.
+
 When m of the C_j vanish because n_j' = +-n_j (degenerate pairs, sign products
 -1 pairwise, plus one perpendicular surviving pair when m is odd), the square
 collapses onto the surviving particles: B^2(n|m) = 2^m B^2(n-m), capping the
@@ -22,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -31,8 +42,10 @@ from .pauli import (
     PauliOperator,
     ResourceLimitError,
     UnitVector3,
-    commutator,
+    _sum_codes,
+    _tensor_codes,
     anticommutator,
+    commutator,
     embed,
     single_spin_operator,
     to_dense,
@@ -156,61 +169,101 @@ class ExpansionReport:
     residual: float
 
 
-def _fold_product(ops: list[PauliOperator]) -> PauliOperator:
-    acc = ops[0]
-    for op in ops[1:]:
-        acc = acc * op
-    return acc
+def _factored_square(
+    settings: MeasurementSettings, alpha: complex, beta: complex
+) -> PauliOperator:
+    """(alpha P + beta Pbar)^2 for P = (x)_j (sigma_j + i sigma_j') and its partner Pbar.
+
+    The square is alpha^2 P^2 + beta^2 Pbar^2 + alpha beta (P Pbar + Pbar P),
+    and each of the four products is the Kronecker product of one-particle
+    products, so no product spans more than one particle.
+    """
+    plus, minus = [], []
+    for pair in settings.pairs:
+        a, b = single_spin_operator(pair.a), single_spin_operator(pair.b)
+        plus.append(a + b.scale(1j))
+        minus.append(a + b.scale(-1j))
+    parts = []
+    for weight, left, right in (
+        (alpha * alpha, plus, plus),
+        (beta * beta, minus, minus),
+        (alpha * beta, plus, minus),
+        (alpha * beta, minus, plus),
+    ):
+        x, z, c = _tensor_codes([f * g for f, g in zip(left, right)])
+        parts.append((x, z, weight * c))
+    return _sum_codes(settings.n, parts)
+
+
+def mermin_square(settings: MeasurementSettings) -> PauliOperator:
+    """B^2 = -(1/4)(P^2 + Pbar^2 - P Pbar - Pbar P) for B = (P - Pbar)/2i.
+
+    P^2 and Pbar^2 are prod_j (+-2i n_j . n_j') times I, so they vanish when
+    any pair is perpendicular.
+    """
+    return _factored_square(settings, -0.5j, 0.5j)
 
 
 def chsh_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
-    """B^2 = 4 I - C1 C2 for the two-particle operator."""
+    """B^2 = 4 I - C1 C2 for the two-particle operator.
+
+    The CHSH operator adds the real part of P to the Mermin operator's
+    imaginary part: B = ((1 - i) P + (1 + i) Pbar) / 2.
+    """
     if settings.n != 2:
         raise ValueError("chsh_square_expansion needs exactly two particles")
     c1, c2 = site_commutators(settings)
     expansion = PauliOperator.identity(2, 4.0) - c1 * c2
-    b = chsh_operator(settings)
     return ExpansionReport(
         n=2,
         expansion=expansion,
         group_term_counts={2: 1},
         final_term_count=0,
-        residual=expansion.max_coeff_diff(b * b),
+        residual=expansion.max_coeff_diff(_factored_square(settings, 0.5 - 0.5j, 0.5 + 0.5j)),
     )
 
 
 def mermin_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
-    """Full commutator expansion of B^2 for any n >= 3, residual-checked."""
+    """Full commutator expansion of B^2 for any n >= 3, residual-checked.
+
+    The group sum e_k(C_1, ..., C_n) over all k-particle subsets is the part
+    of (x)_j (I + C_j) whose strings have k non-identity letters: no C_j has
+    an identity part, so a string's support is exactly its subset, and the
+    Kronecker chain E_k <- E_k (x) I + E_(k-1) (x) C_j builds every group at
+    once.  Distinct subsets never share a string, so each string's group, and
+    with it its weight, is read off the number of letters it holds.
+    """
     n = settings.n
     if n < 3:
         raise ValueError("mermin_square_expansion needs n >= 3 (use chsh_square_expansion)")
-    cs = site_commutators(settings)
-    expansion = PauliOperator.identity(n, float(2 ** (n - 1)))
-    group_term_counts: dict[int, int] = {}
-    top = n - 1 if n % 2 else n - 2
-    for two_k in range(2, top + 1, 2):
-        k = two_k // 2
-        coeff = float((-1) ** k * 2 ** (n - two_k - 1))
-        group = PauliOperator.zero(n)
-        count = 0
-        for subset in combinations(range(n), two_k):
-            group = group + _fold_product([cs[j] for j in subset])
-            count += 1
-        expansion = expansion + group.scale(coeff)
-        group_term_counts[two_k] = count
+    identity = PauliOperator.identity(1)
+    x, z, c = _tensor_codes(
+        [
+            identity + commutator(single_spin_operator(pair.a), single_spin_operator(pair.b))
+            for pair in settings.pairs
+        ]
+    )
+    # weight (-1)^k 2^(n-2k-1) for group order 2k, including the closing
+    # (-1)^(n/2) (1/2) prod_j C_j at 2k = n; odd orders drop out
+    weights = np.zeros(n + 1)
+    weights[::2] = [(-1) ** k * 2.0 ** (n - 2 * k - 1) for k in range(n // 2 + 1)]
+    parts = [(x, z, c * weights[np.bitwise_count(x | z)])]
     final_term_count = 0
     if n % 2 == 0:
-        ays = site_anticommutators(settings)
-        sign = float((-1) ** (n // 2))
-        expansion = expansion + (_fold_product(cs) - _fold_product(ays)).scale(0.5 * sign)
+        # the rest of the closing term: -(-1)^(n/2) (1/2) prod_j A_j, A_j = 2 (n_j . n_j') I
+        anticommutators = math.prod(2.0 * pair.a.dot(pair.b) for pair in settings.pairs)
+        closing = -0.5 * (-1) ** (n // 2) * anticommutators
+        origin = np.zeros(1, dtype=np.uint64)
+        parts.append((origin, origin, np.array([closing], dtype=np.complex128)))
         final_term_count = 2
-    b = mermin_operator(settings)
+    expansion = _sum_codes(n, parts)
+    top = n - 1 if n % 2 else n - 2
     return ExpansionReport(
         n=n,
         expansion=expansion,
-        group_term_counts=group_term_counts,
+        group_term_counts={two_k: math.comb(n, two_k) for two_k in range(2, top + 1, 2)},
         final_term_count=final_term_count,
-        residual=expansion.max_coeff_diff(b * b),
+        residual=expansion.max_coeff_diff(mermin_square(settings)),
     )
 
 
@@ -398,13 +451,11 @@ def reduction_check(
             f"reduction eigen-check needs dense matrices; n={n} exceeds {dense_limit}"
         )
     full = degenerate_settings(base, spec)
-    b_full = mermin_operator(full)
-    sq_full = b_full * b_full
+    sq_full = mermin_square(full)
 
     survivors = tuple(j for j in range(1, n + 1) if j not in spec.degenerate_indices)
     reduced = full.subset(survivors)
-    b_reduced = mermin_operator(reduced)
-    sq_reduced = b_reduced * b_reduced
+    sq_reduced = mermin_square(reduced)
 
     factor = float(2**spec.m)
     residual = sq_full.max_coeff_diff(_lift(sq_reduced, survivors, n).scale(factor))

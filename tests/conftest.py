@@ -3,12 +3,19 @@
 The oracle routes deliberately avoid the package's own bit-mask kernels:
 matrices are assembled by Kronecker products of 2x2 letters, and products are
 formed one letter at a time from a table read off those 2x2 matrices, so
-agreement with the package is a real cross-check, not a tautology.
+agreement with the package is a real cross-check, not a tautology.  The
+commutator expansion of B^2 is rebuilt subset by subset through the general
+product, apart from the package's Kronecker construction.
 """
+
+import math
+from itertools import combinations
 
 import numpy as np
 
+from merminlab.bell import site_anticommutators, site_commutators
 from merminlab.pauli import PauliOperator, dense_single
+from merminlab.settings import PlanarSettings
 
 LETTERS = "IXYZ"
 
@@ -71,3 +78,38 @@ def dense_oracle(op):
     for s, c in op.terms.items():
         out += kron_dense(s, c)
     return out
+
+
+def _fold_product(ops):
+    acc = ops[0]
+    for op in ops[1:]:
+        acc = acc * op
+    return acc
+
+
+def subset_expansion_oracle(settings):
+    """Commutator expansion of B^2 summed over every subset, one product at a time.
+
+    2^(n-1) I + sum_k (-1)^k 2^(n-2k-1) sum_{|S|=2k} prod_{j in S} C_j, with
+    the closing (-1)^(n/2) (1/2) (prod_j C_j - prod_j A_j) for even n; every
+    subset product is folded through the general multiply.
+    """
+    n = settings.n
+    cs = site_commutators(settings)
+    expansion = PauliOperator.identity(n, float(2 ** (n - 1)))
+    top = n - 1 if n % 2 else n - 2
+    for two_k in range(2, top + 1, 2):
+        coeff = float((-1) ** (two_k // 2) * 2 ** (n - two_k - 1))
+        group = PauliOperator.zero(n)
+        for subset in combinations(range(n), two_k):
+            group = group + _fold_product([cs[j] for j in subset])
+        expansion = expansion + group.scale(coeff)
+    if n % 2 == 0:
+        closing = _fold_product(cs) - _fold_product(site_anticommutators(settings))
+        expansion = expansion + closing.scale(0.5 * (-1) ** (n // 2))
+    return expansion
+
+
+def perpendicular_base(n):
+    """Planar settings with every pair perpendicular (n_j . n_j' = 0)."""
+    return PlanarSettings(tuple((0.41 * j, 0.41 * j + math.pi / 2) for j in range(n)))

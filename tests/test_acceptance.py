@@ -30,27 +30,25 @@ from merminlab.spectra import (
 )
 from merminlab.optimize import OptimizeConfig, optimize_angles, quantum_ceiling
 
+from conftest import perpendicular_base
+
 
 def verdict(name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
 
 
-def perpendicular_base(n):
-    return PlanarSettings(tuple((0.41 * j, 0.41 * j + math.pi / 2) for j in range(n)))
-
-
 def test_01_square_expansion_identities():
-    """Commutator expansion of B^2 matches the direct square, n = 3..8."""
+    """Commutator expansion of B^2 matches the factored square, n = 3..10."""
     tol = 1e-10
     rng = np.random.default_rng(20010)
     worst = 0.0
-    for n in range(3, 9):
-        for _ in range(20):
+    for n, trials in [(n, 20) for n in range(3, 9)] + [(9, 3), (10, 1)]:
+        for _ in range(trials):
             report = mermin_square_expansion(random_settings(n, rng))
             worst = max(worst, report.residual)
     verdict(
-        "square expansion identities (n=3..8, 20 random settings each)",
+        "square expansion identities (n=3..8, 20 random settings each; n=9 x3; n=10 x1)",
         worst < tol,
         f"max residual {worst:.3e} < {tol}",
     )

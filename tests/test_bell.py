@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
 from merminlab.pauli import PauliOperator, ResourceLimitError, embed, single_spin_operator, to_dense
 from merminlab.settings import (
@@ -20,7 +21,10 @@ from merminlab.bell import (
     canonical_settings,
     chsh_operator,
     chsh_square_expansion,
+    default_reduction_spec,
+    degenerate_settings,
     mermin_operator,
+    mermin_square,
     mermin_square_expansion,
     planar_spectral_max,
     planar_square_diagonal,
@@ -29,6 +33,8 @@ from merminlab.bell import (
     three_particle_operator,
 )
 from merminlab.pauli import UnitVector3
+
+from conftest import dense_oracle, perpendicular_base, subset_expansion_oracle
 
 
 def mermin_literal(settings):
@@ -184,6 +190,55 @@ class TestSquareExpansions:
         rng = np.random.default_rng(44)
         with pytest.raises(ValueError):
             mermin_square_expansion(random_settings(2, rng))
+
+
+def _square_cases(n, rng):
+    """Random, planar, canonical and perpendicular settings, plus every default
+    reduction of a random planar base (where some C_j vanish)."""
+    base = random_planar(n, rng)
+    cases = [
+        random_settings(n, rng),
+        base.to_measurement_settings(),
+        canonical_settings(n),
+        perpendicular_base(n).to_measurement_settings(),
+    ]
+    cases += [degenerate_settings(base, default_reduction_spec(n, m)) for m in range(n - 2)]
+    return cases
+
+
+class TestFactoredSquare:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_matches_generic_square(self, n):
+        rng = np.random.default_rng(400 + n)
+        for s in _square_cases(n, rng):
+            b = mermin_operator(s)
+            assert mermin_square(s).max_coeff_diff(b * b) < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_expansion_matches_subset_oracle(self, n):
+        rng = np.random.default_rng(410 + n)
+        for s in _square_cases(n, rng):
+            got = mermin_square_expansion(s).expansion
+            assert got.max_coeff_diff(subset_expansion_oracle(s)) < 1e-10
+
+    @hyp_settings(derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.floats(-1.0, 1.0)] * 6), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_dense_square_of_letter_loop_operator(self, rows):
+        pairs = []
+        for ax, ay, az, bx, by, bz in rows:
+            assume(math.hypot(ax, ay, az) > 0.1 and math.hypot(bx, by, bz) > 0.1)
+            pairs.append(
+                SettingPair(UnitVector3.normalized(ax, ay, az), UnitVector3.normalized(bx, by, bz))
+            )
+        s = MeasurementSettings(tuple(pairs))
+        b = dense_oracle(mermin_operator(s))
+        assert np.max(np.abs(dense_oracle(mermin_square(s)) - b @ b)) < 1e-10
 
 
 class TestDegenerateSquares:

@@ -57,6 +57,15 @@ class TestVerify:
         assert proc.returncode == 2
         proc = run_cli("verify", "--n-min", "5", "--n-max", "4")
         assert proc.returncode == 2
+        proc = run_cli("verify", "--n-max", "11")
+        assert proc.returncode == 2
+
+    def test_nine_particles_pass(self):
+        report, code = run_json(
+            "verify", "--n-min", "9", "--n-max", "9", "--trials", "1", "--seed", "5"
+        )
+        assert code == 0
+        assert report["overall_pass"] is True
 
     def test_byte_identical_reruns(self):
         args = (

@@ -1,5 +1,6 @@
 """Pauli-string algebra against independent dense oracles."""
 
+import functools
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from merminlab.pauli import (
     embed,
     multiply,
     single_spin_operator,
+    tensor,
     to_dense,
 )
 from merminlab.settings import random_settings, random_unit_vector
@@ -98,6 +100,36 @@ class TestProductHomomorphism:
         b = random_operator(3, 4, rng)
         c = random_operator(3, 4, rng)
         assert ((a * b) * c).max_coeff_diff(a * (b * c)) < 1e-12
+
+
+class TestTensor:
+    """tensor() against np.kron of the factors' 2x2 matrices."""
+
+    @staticmethod
+    def _dense_factor(op):
+        return sum(
+            (c * pauli.dense_single(s) for s, c in op.terms.items()),
+            np.zeros((2, 2), dtype=complex),
+        )
+
+    def test_matches_kron_of_dense_factors(self):
+        rng = np.random.default_rng(111)
+        for n in (1, 2, 3, 5):
+            factors = [random_operator(1, int(rng.integers(1, 5)), rng) for _ in range(n)]
+            want = functools.reduce(np.kron, [self._dense_factor(f) for f in factors])
+            assert np.max(np.abs(dense_oracle(tensor(factors)) - want)) < 1e-12
+
+    def test_zero_factor_gives_zero_operator(self):
+        rng = np.random.default_rng(112)
+        factors = [random_operator(1, 4, rng), PauliOperator.zero(1), random_operator(1, 4, rng)]
+        out = tensor(factors)
+        assert out.n == 3 and out.terms == {}
+
+    def test_rejects_bad_factors(self):
+        with pytest.raises(ValueError):
+            tensor([])
+        with pytest.raises(ValueError):
+            tensor([PauliOperator.from_string("X"), PauliOperator.from_string("XY")])
 
 
 class TestLetterProductOracle:
@@ -291,6 +323,11 @@ class TestOperatorBasics:
         b = PauliOperator(1, {"Y": 1.0})
         assert a.max_coeff_diff(b) == 1.0
         assert a.approx_equal(a)
+        # the largest difference may sit on either side alone, or on a shared string
+        c = PauliOperator(1, {"X": 1.5, "Z": 3.0})
+        assert a.max_coeff_diff(c) == c.max_coeff_diff(a) == 3.0
+        assert c.max_coeff_diff(PauliOperator(1, {"X": -2.5, "Z": 3.0})) == 4.0
+        assert PauliOperator.zero(1).max_coeff_diff(PauliOperator.zero(1)) == 0.0
 
 
 class TestUnitVector:
