@@ -45,6 +45,7 @@ from .bell import (
     default_reduction_spec,
     degenerate_settings,
     mermin_operator,
+    mermin_spectrum,
     mermin_square,
     mermin_square_expansion,
     planar_spectral_max,

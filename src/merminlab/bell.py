@@ -24,6 +24,18 @@ commuting operators on distinct particles; they are the parts of
 (x)_j (I + C_j) with 2k non-identity letters, built in n Kronecker steps
 instead of C(n, 2k) subset products each.
 
+The spectrum of B has a closed form for any settings.  sigma_j and sigma_j'
+both anticommute with w_j . sigma, where w_j = n_j x n_j' and C_j = 2i w_j . sigma,
+so in the product basis |s>, s in {+-1}^n, of the w_j . sigma eigenstates, P
+and Pbar map each |s> to |-s>:
+
+    P |s> = prod_j alpha_j(s_j) |-s>,   Pbar |s> = prod_j beta_j(s_j) |-s>,
+    alpha_j(s), beta_j(s) = <-s| sigma_j +- i sigma_j' |s>.
+
+B therefore maps span{|s>, |-s>} into itself with zero diagonal, and, being
+Hermitian, has the eigenvalues +-|prod_j alpha_j(s_j) - prod_j beta_j(s_j)| / 2
+there.
+
 When m of the C_j vanish because n_j' = +-n_j (degenerate pairs, sign products
 -1 pairwise, plus one perpendicular surviving pair when m is odd), the square
 collapses onto the surviving particles: B^2(n|m) = 2^m B^2(n-m), capping the
@@ -38,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
-    DENSE_LIMIT,
     PauliOperator,
     ResourceLimitError,
     UnitVector3,
@@ -48,7 +59,6 @@ from .pauli import (
     commutator,
     embed,
     single_spin_operator,
-    to_dense,
 )
 from .settings import MeasurementSettings, PlanarSettings, SettingPair
 
@@ -267,10 +277,52 @@ def mermin_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
     )
 
 
-# ---- planar closed forms --------------------------------------------------
+# ---- closed-form spectrum and planar closed forms -------------------------
 
-#: kron chains double per particle; 2^24 float64 entries is the ceiling
+#: kron chains double per particle; 2^24 entries is the ceiling
 PLANAR_DIAGONAL_LIMIT = 24
+
+_PAULI_XYZ = np.array(
+    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128
+)
+
+
+def _site_amplitudes(pair: SettingPair) -> tuple[np.ndarray, np.ndarray]:
+    """alpha(s), beta(s) = <-s| sigma_j +- i sigma_j' |s> for s = -1, +1 (eigh order)."""
+    a = np.array([pair.a.x, pair.a.y, pair.a.z])
+    b = np.array([pair.b.x, pair.b.y, pair.b.z])
+    # a x (b -+ a) is a x b, but the difference is exact for a nearly
+    # (anti)parallel pair, so w keeps its direction as |w| goes to 0
+    w = np.cross(a, b - a if pair.a.dot(pair.b) >= 0.0 else b + a)
+    if not w.any():
+        # n_j' = +-n_j: every axis perpendicular to n_j anticommutes with both
+        w = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
+    _, basis = np.linalg.eigh(np.tensordot(w / math.hypot(*w), _PAULI_XYZ, 1))
+    first, second = (basis.conj().T @ np.tensordot(v, _PAULI_XYZ, 1) @ basis for v in (a, b))
+    flip = ([1, 0], [0, 1])  # column s, row -s
+    return (first + 1j * second)[flip], (first - 1j * second)[flip]
+
+
+def mermin_spectrum(settings: MeasurementSettings) -> np.ndarray:
+    """All 2^n eigenvalues of B in ascending order, without a dense matrix.
+
+    Each pair {|s>, |-s>} of w_j eigenstates contributes
+    +-|prod_j alpha_j(s_j) - prod_j beta_j(s_j)| / 2 (see the module
+    docstring); the two products are Kronecker chains of per-site 2-vectors
+    over the states with s_1 = -1, one from each pair.
+    """
+    n = settings.n
+    if n > PLANAR_DIAGONAL_LIMIT:
+        raise ResourceLimitError(
+            f"closed-form spectrum for n={n} exceeds limit {PLANAR_DIAGONAL_LIMIT}"
+        )
+    (plus, minus), *rest = (_site_amplitudes(pair) for pair in settings.pairs)
+    plus, minus = plus[:1], minus[:1]
+    for alpha, beta in rest:
+        plus = np.kron(plus, alpha)
+        minus = np.kron(minus, beta)
+    values = np.sort(0.5 * np.abs(plus - minus))
+    return np.concatenate((-values[::-1], values))
 
 
 def planar_square_diagonal(
@@ -434,22 +486,24 @@ def _lift(op: PauliOperator, positions: tuple[int, ...], n: int) -> PauliOperato
     return PauliOperator(n, out)
 
 
-def reduction_check(
-    base: PlanarSettings, spec: ReductionSpec, dense_limit: int = DENSE_LIMIT
-) -> ReductionReport:
+#: the coefficient compare holds the absolute --tol 1e-10 through n = 16; at
+#: n = 20 (m = 3) the residual reached 1.2e-10, as B^2 coefficients grow like 2^(n-1)
+REDUCTION_LIMIT = 16
+
+
+def reduction_check(base: PlanarSettings, spec: ReductionSpec) -> ReductionReport:
     """Verify the collapse of B^2 when m single-particle commutators vanish.
 
     Builds the full operator from the degenerate settings, the reduced operator
     from the surviving particles alone, and compares B_full^2 against
     2^m * (reduced square padded with identities), coefficient by coefficient.
-    Eigenvalue maxima of both squares come from dense diagonalization.
+    The largest eigenvalue of each operator comes from ``mermin_spectrum``,
+    and mu_max of its square is that eigenvalue squared.
     """
     n = base.n
     spec.validate(n)
-    if n > dense_limit:
-        raise ResourceLimitError(
-            f"reduction eigen-check needs dense matrices; n={n} exceeds {dense_limit}"
-        )
+    if n > REDUCTION_LIMIT:
+        raise ResourceLimitError(f"reduction check for n={n} exceeds limit {REDUCTION_LIMIT}")
     full = degenerate_settings(base, spec)
     sq_full = mermin_square(full)
 
@@ -460,19 +514,19 @@ def reduction_check(
     factor = float(2**spec.m)
     residual = sq_full.max_coeff_diff(_lift(sq_reduced, survivors, n).scale(factor))
 
-    mu_full = float(np.linalg.eigvalsh(to_dense(sq_full, dense_limit))[-1])
-    mu_reduced = float(np.linalg.eigvalsh(to_dense(sq_reduced, dense_limit))[-1])
+    top_full = float(mermin_spectrum(full)[-1])
+    top_reduced = float(mermin_spectrum(reduced)[-1])
     return ReductionReport(
         n=n,
         m=spec.m,
         factor=factor,
         residual=residual,
-        mu_max_full=mu_full,
-        mu_max_reduced=mu_reduced,
-        mu_max_ratio=mu_full / mu_reduced,
-        max_abs_full=math.sqrt(mu_full),
-        max_abs_reduced=math.sqrt(mu_reduced),
-        max_abs_ratio=math.sqrt(mu_full / mu_reduced),
+        mu_max_full=top_full**2,
+        mu_max_reduced=top_reduced**2,
+        mu_max_ratio=(top_full / top_reduced) ** 2,
+        max_abs_full=top_full,
+        max_abs_reduced=top_reduced,
+        max_abs_ratio=top_full / top_reduced,
         degenerate_indices=spec.degenerate_indices,
         signs=spec.signs,
         perpendicular_survivor=spec.perpendicular_survivor,

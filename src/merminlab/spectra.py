@@ -34,6 +34,23 @@ class SpectralReport:
     clusters: tuple[tuple[float, int], ...]
     max_abs: float
 
+    @classmethod
+    def from_eigenvalues(
+        cls, eigenvalues: np.ndarray, cluster_tol: float = 1e-7
+    ) -> "SpectralReport":
+        """Cluster ascending eigenvalues by gap.
+
+        Consecutive eigenvalues closer than ``cluster_tol`` join one cluster,
+        reported as (cluster mean, count).  The mean is an exactly rounded sum
+        (``math.fsum``), so a cluster of +- pairs reports 0.0.
+        """
+        blocks = np.split(eigenvalues, np.flatnonzero(np.diff(eigenvalues) > cluster_tol) + 1)
+        return cls(
+            eigenvalues=eigenvalues,
+            clusters=tuple((math.fsum(block) / len(block), len(block)) for block in blocks),
+            max_abs=float(np.max(np.abs(eigenvalues))),
+        )
+
 
 def eigen_hermitian(
     matrix: np.ndarray, tol: float = 1e-9, cluster_tol: float = 1e-7
@@ -41,8 +58,7 @@ def eigen_hermitian(
     """Eigendecompose a Hermitian matrix and cluster eigenvalues by gap.
 
     Raises ValueError if the matrix deviates from Hermitian by more than
-    ``tol`` in max absolute entry.  Consecutive eigenvalues closer than
-    ``cluster_tol`` join one cluster, reported as (cluster mean, count).
+    ``tol`` in max absolute entry; clusters as ``SpectralReport.from_eigenvalues``.
     """
     mat = np.asarray(matrix, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -50,19 +66,7 @@ def eigen_hermitian(
     herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_defect > tol:
         raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e} > {tol}")
-    eigenvalues = np.linalg.eigvalsh(mat)
-    clusters: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, len(eigenvalues) + 1):
-        if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > cluster_tol:
-            block = eigenvalues[start:i]
-            clusters.append((float(np.mean(block)), len(block)))
-            start = i
-    return SpectralReport(
-        eigenvalues=eigenvalues,
-        clusters=tuple(clusters),
-        max_abs=float(np.max(np.abs(eigenvalues))),
-    )
+    return SpectralReport.from_eigenvalues(np.linalg.eigvalsh(mat), cluster_tol)
 
 
 def ghz_state(n: int, sign: int = 1, phase: float = 0.0) -> np.ndarray:

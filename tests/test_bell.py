@@ -24,6 +24,7 @@ from merminlab.bell import (
     default_reduction_spec,
     degenerate_settings,
     mermin_operator,
+    mermin_spectrum,
     mermin_square,
     mermin_square_expansion,
     planar_spectral_max,
@@ -33,8 +34,9 @@ from merminlab.bell import (
     three_particle_operator,
 )
 from merminlab.pauli import UnitVector3
+from merminlab.spectra import SpectralReport, eigen_hermitian
 
-from conftest import dense_oracle, perpendicular_base, subset_expansion_oracle
+from conftest import dense_bell_oracle, dense_oracle, perpendicular_base, subset_expansion_oracle
 
 
 def mermin_literal(settings):
@@ -206,6 +208,22 @@ def _square_cases(n, rng):
     return cases
 
 
+#: 2-4 particles, each with two raw direction triples
+_PAIR_ROWS = st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 6), min_size=n, max_size=n)
+)
+
+
+def _settings_from_rows(rows):
+    pairs = []
+    for ax, ay, az, bx, by, bz in rows:
+        assume(math.hypot(ax, ay, az) > 0.1 and math.hypot(bx, by, bz) > 0.1)
+        pairs.append(
+            SettingPair(UnitVector3.normalized(ax, ay, az), UnitVector3.normalized(bx, by, bz))
+        )
+    return MeasurementSettings(tuple(pairs))
+
+
 class TestFactoredSquare:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_matches_generic_square(self, n):
@@ -222,21 +240,9 @@ class TestFactoredSquare:
             assert got.max_coeff_diff(subset_expansion_oracle(s)) < 1e-10
 
     @hyp_settings(derandomize=True, database=None, deadline=None)
-    @given(
-        st.integers(2, 4).flatmap(
-            lambda n: st.lists(
-                st.tuples(*[st.floats(-1.0, 1.0)] * 6), min_size=n, max_size=n
-            )
-        )
-    )
+    @given(_PAIR_ROWS)
     def test_dense_square_of_letter_loop_operator(self, rows):
-        pairs = []
-        for ax, ay, az, bx, by, bz in rows:
-            assume(math.hypot(ax, ay, az) > 0.1 and math.hypot(bx, by, bz) > 0.1)
-            pairs.append(
-                SettingPair(UnitVector3.normalized(ax, ay, az), UnitVector3.normalized(bx, by, bz))
-            )
-        s = MeasurementSettings(tuple(pairs))
+        s = _settings_from_rows(rows)
         b = dense_oracle(mermin_operator(s))
         assert np.max(np.abs(dense_oracle(mermin_square(s)) - b @ b)) < 1e-10
 
@@ -334,3 +340,74 @@ class TestPlanarClosedForms:
             assert abs(
                 planar_spectral_max(p) - 2 ** (2 * (n - 1) - m)
             ) < 1e-9
+
+
+def _nonplanar_perpendicular(n, rng):
+    """Random 3-D pairs with n_j' perpendicular to n_j."""
+    pairs = []
+    for _ in range(n):
+        a, r = random_unit_vector(rng), random_unit_vector(rng)
+        b = UnitVector3.normalized(a.y * r.z - a.z * r.y, a.z * r.x - a.x * r.z, a.x * r.y - a.y * r.x)
+        pairs.append(SettingPair(a, b))
+    return MeasurementSettings(tuple(pairs))
+
+
+class TestMerminSpectrum:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_dense_eigensolve(self, n):
+        rng = np.random.default_rng(500 + n)
+        for s in _square_cases(n, rng) + [_nonplanar_perpendicular(n, rng)]:
+            dense = dense_oracle(mermin_operator(s)) if n <= 5 else dense_bell_oracle(s)
+            want = eigen_hermitian(dense)
+            got = SpectralReport.from_eigenvalues(mermin_spectrum(s))
+            assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-10
+            assert [c for _, c in got.clusters] == [c for _, c in want.clusters]
+
+    def test_kronecker_oracle_matches_letter_loop_operator(self):
+        # ties the oracle used above n = 5 to mermin_operator's coefficients
+        rng = np.random.default_rng(520)
+        for n in (2, 3, 4, 5):
+            for s in _square_cases(n, rng) + [_nonplanar_perpendicular(n, rng)]:
+                diff = dense_bell_oracle(s) - dense_oracle(mermin_operator(s))
+                assert np.max(np.abs(diff)) < 1e-12
+
+    def test_nonplanar_perpendicular_reaches_quantum_max(self):
+        rng = np.random.default_rng(530)
+        for n in (3, 6, 12, 16):
+            spectrum = mermin_spectrum(_nonplanar_perpendicular(n, rng))
+            assert abs(spectrum[-1] - 2 ** (n - 1)) < 1e-9 * 2 ** (n - 1)
+            assert abs(spectrum[0] + 2 ** (n - 1)) < 1e-9 * 2 ** (n - 1)
+
+    def test_nearly_parallel_pairs(self):
+        # n_j' a few ulps off n_j: w_j from the plain cross product a x b
+        # points the wrong way by up to 1e-2 here and the spectrum is off by 0.1
+        rng = np.random.default_rng(540)
+        for eps in (1e-12, 1e-14, 1e-15):
+            near = []
+            for _ in range(4):
+                a, r = random_unit_vector(rng), random_unit_vector(rng)
+                b = UnitVector3.normalized(a.x + eps * r.x, a.y + eps * r.y, a.z + eps * r.z)
+                near.append(SettingPair(a, b))
+            s = MeasurementSettings(tuple(near) + _nonplanar_perpendicular(4, rng).pairs)
+            want = np.linalg.eigvalsh(dense_bell_oracle(s))
+            assert np.max(np.abs(mermin_spectrum(s) - want)) < 1e-10
+
+    def test_perpendicular_planar_n10_has_three_clusters(self):
+        # +-sqrt of the B^2 diagonal would split the null space at 3.8e-6
+        report = SpectralReport.from_eigenvalues(
+            mermin_spectrum(perpendicular_base(10).to_measurement_settings())
+        )
+        assert [c for _, c in report.clusters] == [1, 1022, 1]
+        assert report.clusters[1][0] == 0.0
+        assert abs(report.max_abs - 512.0) < 1e-9
+
+    def test_limit_enforced(self):
+        with pytest.raises(ResourceLimitError):
+            mermin_spectrum(canonical_settings(25))
+
+    @hyp_settings(derandomize=True, database=None, deadline=None)
+    @given(_PAIR_ROWS)
+    def test_matches_dense_oracle_property(self, rows):
+        s = _settings_from_rows(rows)
+        want = np.linalg.eigvalsh(dense_oracle(mermin_operator(s)))
+        assert np.max(np.abs(mermin_spectrum(s) - want)) < 1e-10

@@ -140,6 +140,16 @@ class TestReduce:
         # maximal survivors: full max |eig| = 2^(n-1) / sqrt(2)
         assert abs(report["reduction"]["max_abs_full"] - 2**4 / math.sqrt(2)) < 1e-6
 
+    def test_sixteen_particles_pass(self):
+        report, code = run_json("reduce", "--n", "16", "--m", "3")
+        assert code == 0
+        assert report["overall_pass"] is True
+
+    def test_resource_limit(self):
+        proc = run_cli("reduce", "--n", "17", "--m", "3")
+        assert proc.returncode == 3
+        assert "resource" in proc.stderr.lower()
+
     def test_settings_n_mismatch(self, tmp_path):
         path = tmp_path / "base.json"
         save_settings(path, PlanarSettings(((0.0, 1.0), (0.0, 1.0))))
@@ -174,6 +184,13 @@ class TestSpectrum:
         report, code = run_json("spectrum", "--settings", str(path))
         assert code == 0
         assert report["max_abs_eigenvalue"] == pytest.approx(2.0)
+
+    def test_resource_limit(self, tmp_path):
+        path = tmp_path / "planar.json"
+        save_settings(path, PlanarSettings(tuple((0.0, math.pi / 2) for _ in range(13))))
+        proc = run_cli("spectrum", "--settings", str(path))
+        assert proc.returncode == 3
+        assert "resource" in proc.stderr.lower()
 
     def test_missing_file(self):
         proc = run_cli("spectrum", "--settings", "/nonexistent/file.json")

@@ -8,6 +8,7 @@ import pytest
 from merminlab.pauli import ResourceLimitError, to_dense
 from merminlab.settings import PlanarSettings, random_planar
 from merminlab.bell import (
+    REDUCTION_LIMIT,
     ReductionSpec,
     default_reduction_spec,
     degenerate_settings,
@@ -143,6 +144,6 @@ class TestReductionLaw:
         assert np.max(np.abs(b_full @ b_full - 2**m * lifted)) < 1e-9
 
     def test_resource_guard(self):
-        base = perpendicular_base(6)
+        base = perpendicular_base(REDUCTION_LIMIT + 1)
         with pytest.raises(ResourceLimitError):
-            reduction_check(base, default_reduction_spec(6, 2), dense_limit=5)
+            reduction_check(base, default_reduction_spec(REDUCTION_LIMIT + 1, 2))
