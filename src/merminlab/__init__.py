@@ -3,7 +3,7 @@
 Builds Bell operators for arbitrary measurement directions, verifies their
 squared-operator commutator expansions exactly, tracks the collapse of the
 attainable quantum value when single-particle commutators vanish, and compares
-quantum maxima against enumerated classical bounds.
+quantum maxima against exact classical bounds.
 """
 
 from .pauli import (

@@ -45,6 +45,7 @@ attainable quantum value at 2^(-m/2) of the unconstrained maximum.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,22 +354,27 @@ def planar_square_diagonal(
     return float(2 ** (n - 1)) * diag
 
 
-def planar_spectral_max(planar: PlanarSettings) -> float:
-    """Largest eigenvalue of B^2 for planar settings, in closed form.
+def spectral_max_of_included_angles(thetas: Sequence[float]) -> float:
+    """Largest eigenvalue of B^2 for planar settings with included angles thetas.
 
     The diagonal is maximized by aligning every z_j with sign(sin theta_j),
     which turns each sine factor into 1 + |sin theta_j|; the even-n closing
     term is a constant shift and does not move the argmax.
     """
-    n = planar.n
-    abs_sines = [abs(math.sin(t)) for t in planar.included_angles]
+    n = len(thetas)
+    abs_sines = [abs(math.sin(t)) for t in thetas]
     value = 0.5 * (
         math.prod(1.0 + s for s in abs_sines) + math.prod(1.0 - s for s in abs_sines)
     )
     if n % 2 == 0:
         sign = -1.0 if (n // 2) % 2 else 1.0
-        value -= sign * math.prod(math.cos(t) for t in planar.included_angles)
+        value -= sign * math.prod(math.cos(t) for t in thetas)
     return float(2 ** (n - 1)) * value
+
+
+def planar_spectral_max(planar: PlanarSettings) -> float:
+    """Largest eigenvalue of B^2 for planar settings, in closed form."""
+    return spectral_max_of_included_angles(planar.included_angles)
 
 
 # ---- degenerate settings and the reduction law ----------------------------

@@ -5,8 +5,8 @@ Subcommands
     table     classical bound vs quantum maximum per particle count (CSV)
     reduce    vanishing-commutator collapse check B^2(n|m) = 2^m B^2(n-m)
     spectrum  eigenvalue clusters of the Bell operator for a settings file
-    lhv       enumerated classical maximum with a maximizing witness
-    optimize  seeded Nelder-Mead maximization over planar angles
+    lhv       classical maximum by phase counting, with a maximizing witness
+    optimize  seeded Nelder-Mead maximization over the included planar angles
 
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 usage or
 contract error, 3 resource limit exceeded.
@@ -408,6 +408,8 @@ def cmd_optimize(args) -> tuple[dict, int]:
     report["included_angles"] = list(thetas)
     report["cos_included_angles"] = [math.cos(t) for t in thetas]
     report["restart_values"] = [o.value for o in result.outcomes]
+    report["restart_iterations"] = [o.iterations for o in result.outcomes]
+    report["restart_evaluations"] = [o.evaluations for o in result.outcomes]
     report["checks"] = checks.entries
     report["overall_pass"] = checks.all_passed
     return report, EXIT_PASS if checks.all_passed else EXIT_FAIL
@@ -459,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(handler=cmd_spectrum)
 
-    p = sub.add_parser("lhv", help="enumerated classical maximum")
+    p = sub.add_parser("lhv", help="classical maximum with a witness assignment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("mermin", "chsh"), default="mermin")
     common(p)

@@ -1,12 +1,14 @@
 """Derivative-free maximization of quantum Bell values over planar angles.
 
-Parameters are the azimuths phi_j plus the included angles theta_j (so
-phi_j' = phi_j + theta_j); both objectives depend only on the theta_j, which
-keeps a flat landscape along the phi directions that the simplex walks
-harmlessly.  Two objectives:
+Both objectives depend only on the included angles theta_j = phi_j' - phi_j
+(rotating a pair rigidly changes neither), so the simplex runs over the free
+theta_j alone.  Every reported azimuth is phi_j = 0 with phi_j' = theta_j
+wrapped to (-pi, pi], and a pinned theta_j is exactly 0.  Each objective is
+one closed form in the tuple of included angles:
 
-* "planar_spectral_max"  — largest eigenvalue of B^2, closed form;
-* "ghz_expectation"      — <GHZ|B|GHZ> at phase sum phi_j + pi/2, closed form
+* "planar_spectral_max"  — largest eigenvalue of B^2
+  (``bell.spectral_max_of_included_angles``);
+* "ghz_expectation"      — <GHZ|B|GHZ> at phase sum phi_j + pi/2,
   (Re prod(1 + i e^(-i theta_j)) - Re prod(1 + i e^(i theta_j))) / 2.
 
 Both peak at theta_j = pi/2 everywhere: 2^(2(n-1)) for the square, 2^(n-1)
@@ -18,30 +20,39 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import planar_spectral_max
+from .bell import spectral_max_of_included_angles
 from .settings import PlanarSettings, wrap_angle
 
-OBJECTIVES = ("planar_spectral_max", "ghz_expectation")
+
+def ghz_expectation_of_included_angles(thetas: Sequence[float]) -> float:
+    """<GHZ|B|GHZ> at GHZ phase sum_j phi_j + pi/2, from the included angles."""
+    w = 1.0 + 0.0j
+    v = 1.0 + 0.0j
+    for theta in thetas:
+        w *= 1.0 + 1j * cmath.exp(1j * theta)
+        v *= 1.0 + 1j * cmath.exp(-1j * theta)
+    return 0.5 * (v.real - w.real)
+
+
+#: objective name -> its closed form in the tuple of included angles
+CLOSED_FORMS = {
+    "planar_spectral_max": spectral_max_of_included_angles,
+    "ghz_expectation": ghz_expectation_of_included_angles,
+}
 
 _OBJECTIVE_N_RANGE = {"planar_spectral_max": (3, 20), "ghz_expectation": (3, 12)}
 
 
 def objective_eval(planar: PlanarSettings, objective: str) -> float:
     """Evaluate one objective at explicit planar settings."""
-    if objective == "planar_spectral_max":
-        return planar_spectral_max(planar)
-    if objective == "ghz_expectation":
-        w = 1.0 + 0.0j
-        v = 1.0 + 0.0j
-        for theta in planar.included_angles:
-            w *= 1.0 + 1j * cmath.exp(1j * theta)
-            v *= 1.0 + 1j * cmath.exp(-1j * theta)
-        return 0.5 * (v.real - w.real)
-    raise ValueError(f"unknown objective {objective!r}")
+    if objective not in CLOSED_FORMS:
+        raise ValueError(f"unknown objective {objective!r}")
+    return CLOSED_FORMS[objective](planar.included_angles)
 
 
 def quantum_ceiling(n: int, objective: str) -> float:
@@ -65,7 +76,7 @@ class OptimizeConfig:
     pinned_zero: tuple[int, ...] = ()
 
     def validate(self) -> None:
-        if self.objective not in OBJECTIVES:
+        if self.objective not in CLOSED_FORMS:
             raise ValueError(f"unknown objective {self.objective!r}")
         lo, hi = _OBJECTIVE_N_RANGE[self.objective]
         if not lo <= self.n <= hi:
@@ -86,6 +97,7 @@ class RestartOutcome:
     value: float
     angles: PlanarSettings
     iterations: int
+    evaluations: int
     converged: bool
 
 
@@ -103,38 +115,39 @@ def _nelder_mead(func, x0, max_iters, value_tol, simplex_tol):
     """Minimize func; reflection 1, expansion 2, contraction 0.5, shrink 0.5.
 
     Converged when the simplex diameter drops below simplex_tol or the
-    function spread across vertices drops below value_tol.
+    function spread across vertices drops below value_tol.  Returns
+    (x_best, f(x_best), iterations, func evaluations, converged).
     """
+    evaluations = 0
+
+    def f(x):
+        nonlocal evaluations
+        evaluations += 1
+        return func(x)
+
     dim = len(x0)
-    step = 0.5
-    simplex = [np.array(x0, dtype=float)]
-    for i in range(dim):
-        vertex = np.array(x0, dtype=float)
-        vertex[i] += step
-        simplex.append(vertex)
-    values = [func(v) for v in simplex]
+    simplex = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
+    simplex[1:] += 0.5 * np.eye(dim)
+    values = np.array([f(v) for v in simplex])
 
     iterations = 0
     converged = False
     while iterations < max_iters:
-        order = sorted(range(dim + 1), key=lambda i: values[i])
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
+        order = np.argsort(values, kind="stable")
+        simplex, values = simplex[order], values[order]
 
-        diameter = max(
-            float(np.max(np.abs(simplex[i] - simplex[0]))) for i in range(1, dim + 1)
-        )
+        diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
         if diameter < simplex_tol or values[-1] - values[0] < value_tol:
             converged = True
             break
         iterations += 1
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = simplex[:-1].mean(axis=0)
         reflected = centroid + (centroid - simplex[-1])
-        f_reflected = func(reflected)
+        f_reflected = f(reflected)
         if f_reflected < values[0]:
             expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_expanded = func(expanded)
+            f_expanded = f(expanded)
             if f_expanded < f_reflected:
                 simplex[-1], values[-1] = expanded, f_expanded
             else:
@@ -146,56 +159,55 @@ def _nelder_mead(func, x0, max_iters, value_tol, simplex_tol):
                 contracted = centroid + 0.5 * (reflected - centroid)
             else:
                 contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            f_contracted = func(contracted)
+            f_contracted = f(contracted)
             if f_contracted < min(f_reflected, values[-1]):
                 simplex[-1], values[-1] = contracted, f_contracted
             else:
-                best = simplex[0]
-                simplex = [best] + [best + 0.5 * (v - best) for v in simplex[1:]]
-                values = [values[0]] + [func(v) for v in simplex[1:]]
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                values[1:] = [f(v) for v in simplex[1:]]
 
-    order = sorted(range(dim + 1), key=lambda i: values[i])
-    return simplex[order[0]], values[order[0]], iterations, converged
+    best = int(np.argmin(values))
+    return simplex[best], float(values[best]), iterations, evaluations, converged
 
 
 def optimize_angles(config: OptimizeConfig) -> OptimizeResult:
     """Seeded multi-restart Nelder-Mead maximization of the configured objective.
 
-    Ties between restarts resolve to the lowest restart index; best_value is
-    re-evaluated through objective_eval at the reported angles, so the two
-    always agree exactly.
+    The simplex runs over the free included angles only.  Ties between
+    restarts resolve to the lowest restart index; best_value is re-evaluated
+    through objective_eval at the reported angles, so the two always agree
+    exactly.
     """
     config.validate()
     n = config.n
-    pinned = set(config.pinned_zero)
-    free = [j for j in range(1, n + 1) if j not in pinned]
+    closed_form = CLOSED_FORMS[config.objective]
+    free = [j for j in range(n) if j + 1 not in config.pinned_zero]
 
-    def unpack(x: np.ndarray) -> PlanarSettings:
-        phis = x[:n]
-        theta_of = dict(zip(free, x[n:]))
-        angles = []
-        for j in range(1, n + 1):
-            phi = wrap_angle(float(phis[j - 1]))
-            theta = theta_of.get(j, 0.0)
-            angles.append((phi, wrap_angle(phi + float(theta))))
-        return PlanarSettings(tuple(angles))
+    def included_angles(x: np.ndarray) -> list[float]:
+        thetas = [0.0] * n
+        for j, theta in zip(free, x.tolist()):
+            thetas[j] = theta
+        return thetas
 
     def negated(x: np.ndarray) -> float:
-        return -objective_eval(unpack(x), config.objective)
+        return -closed_form(included_angles(x))
 
     rng = np.random.default_rng(config.seed)
     outcomes = []
     for _ in range(config.restarts):
-        x0 = rng.uniform(-math.pi, math.pi, size=n + len(free))
-        x_best, f_best, iterations, converged = _nelder_mead(
+        x0 = rng.uniform(-math.pi, math.pi, size=len(free))
+        x_best, _, iterations, evaluations, converged = _nelder_mead(
             negated, x0, config.max_iters, config.value_tol, config.simplex_tol
         )
-        angles = unpack(x_best)
+        angles = PlanarSettings(
+            tuple((0.0, wrap_angle(theta)) for theta in included_angles(x_best))
+        )
         outcomes.append(
             RestartOutcome(
                 value=objective_eval(angles, config.objective),
                 angles=angles,
                 iterations=iterations,
+                evaluations=evaluations,
                 converged=converged,
             )
         )

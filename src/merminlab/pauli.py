@@ -83,7 +83,7 @@ _Codes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation would exceed a configured size limit (dense dim, enumeration)."""
+    """An operation would exceed a configured size limit (dense dim, particle count)."""
 
 
 @dataclass(frozen=True)

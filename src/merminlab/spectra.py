@@ -4,11 +4,12 @@ Dense eigensolves go through numpy's Hermitian solver; statevectors are plain
 complex arrays of length 2^n in the package's basis convention (particle 1 =
 most significant bit, bit 0 = spin-up).
 
-The classical side enumerates deterministic local-hidden-variable assignments
-a_j, a_j' in {+1, -1}: the n-particle Bell value of one assignment is
-Im prod_j (a_j + i a_j'), and the maximum over all 4^n assignments is
-2^(n/2) for even n and 2^((n-1)/2) for odd n, against a quantum maximum of
-2^(n-1).
+The classical side maximizes over deterministic local-hidden-variable
+assignments a_j, a_j' in {+1, -1}: the n-particle Bell value of one assignment
+is |Im prod_j (a_j + i a_j')|.  Every factor is sqrt(2) e^(i pi (2 k_j + 1) / 4),
+so the value depends only on sum_j k_j mod 4, and counting that phase gives
+the maximum over all 4^n assignments, 2^(n/2) for even n and 2^((n-1)/2) for
+odd n, in O(n), against a quantum maximum of 2^(n-1).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .pauli import PauliOperator, ResourceLimitError, apply_operator
 from .settings import PlanarSettings
 from .bell import mermin_operator, planar_square_diagonal
 
-#: full LHV enumeration is 4^n assignments; n=12 is ~16.8M
-LHV_ENUMERATION_LIMIT = 12
+#: largest n for lhv_max and violation_table: a witness encoding holds 2n
+#: bits, and n = 31 keeps it inside a signed 64-bit integer
+LHV_LIMIT = 31
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def degeneracy_pairing(planar: PlanarSettings, tol: float = 1e-10) -> bool:
 
 @dataclass(frozen=True)
 class LhvResult:
-    """Enumerated deterministic-assignment maximum with one maximizing witness.
+    """Deterministic-assignment maximum with one maximizing witness.
 
     Assignments are encoded as 2n-bit integers: bits (2j-2, 2j-1) hold
     (a_j, a_j') for particle j, bit value 0 meaning +1 and 1 meaning -1.  The
@@ -140,27 +142,26 @@ class LhvResult:
     witness_encoding: int
 
 
-def _lhv_value(n: int, family: str, a: tuple[int, ...], ap: tuple[int, ...]) -> float:
-    if family == "chsh":
-        return abs(
-            a[0] * a[1] + a[0] * ap[1] + ap[0] * a[1] - ap[0] * ap[1]
-        )
-    w = 1.0 + 0.0j
-    for j in range(n):
-        w *= a[j] + 1j * ap[j]
-    return abs(w.imag)
+def _lhv_value(family: str, a: tuple[int, ...], ap: tuple[int, ...]) -> int:
+    """Bell value of one assignment from the exact Gaussian-integer product
+    w = prod_j (a_j + i a_j'): Mermin's is |Im w|, and CHSH's
+    a1 a2 + a1 a2' + a1' a2 - a1' a2' is |Re w + Im w|."""
+    re, im = 1, 0
+    for x, y in zip(a, ap):
+        re, im = re * x - im * y, re * y + im * x
+    return abs(re + im) if family == "chsh" else abs(im)
 
 
-def _decode_assignment(encoding: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    a = tuple(1 - 2 * ((encoding >> (2 * j)) & 1) for j in range(n))
-    ap = tuple(1 - 2 * ((encoding >> (2 * j + 1)) & 1) for j in range(n))
-    return a, ap
+def lhv_max(n: int, family: str = "mermin", limit: int = LHV_LIMIT) -> LhvResult:
+    """Exact classical maximum over all 4^n assignments, by phase counting.
 
-
-def lhv_max(
-    n: int, family: str = "mermin", limit: int = LHV_ENUMERATION_LIMIT
-) -> LhvResult:
-    """Exact classical maximum by full enumeration of 4^n assignments.
+    Each factor a_j + i a_j' is sqrt(2) e^(i pi (2 k_j + 1) / 4), so the
+    value depends only on sum_j k_j mod 4.  Encodings 0..3 give particle 1
+    each of the four k_1 and leave every other particle at +1, so they reach
+    every residue, and any encoding that touches particle 2 is >= 4: the
+    first of the four with the largest value is the maximum and its
+    lowest-encoding witness.  Each value is the witness's own exact
+    Gaussian-integer product, O(n).
 
     family "mermin" works for any n; family "chsh" is the two-particle
     correlator combination and requires n = 2.
@@ -172,43 +173,21 @@ def lhv_max(
     if n < 2:
         raise ValueError("need at least two particles")
     if n > limit:
-        raise ResourceLimitError(f"lhv enumeration for n={n} exceeds limit {limit}")
+        raise ResourceLimitError(f"lhv maximum for n={n} exceeds limit {limit}")
 
-    total = 1 << (2 * n)
-    chunk = min(total, 1 << 20)
-    best_value = -1.0
-    best_encoding = 0
-    for start in range(0, total, chunk):
-        enc = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        if family == "chsh":
-            a1 = 1.0 - 2.0 * ((enc >> 0) & 1)
-            p1 = 1.0 - 2.0 * ((enc >> 1) & 1)
-            a2 = 1.0 - 2.0 * ((enc >> 2) & 1)
-            p2 = 1.0 - 2.0 * ((enc >> 3) & 1)
-            values = np.abs(a1 * a2 + a1 * p2 + p1 * a2 - p1 * p2)
-        else:
-            w = np.ones(len(enc), dtype=np.complex128)
-            for j in range(n):
-                a = 1.0 - 2.0 * ((enc >> (2 * j)) & 1)
-                ap = 1.0 - 2.0 * ((enc >> (2 * j + 1)) & 1)
-                w = w * (a + 1j * ap)
-            values = np.abs(w.imag)
-        arg = int(np.argmax(values))
-        if values[arg] > best_value:
-            best_value = float(values[arg])
-            best_encoding = int(enc[arg])
-
-    a, ap = _decode_assignment(best_encoding, n)
-    recomputed = _lhv_value(n, family, a, ap)
-    if abs(recomputed - best_value) > 1e-9:
-        raise RuntimeError("witness recomputation disagrees with enumerated maximum")
+    # encodings 0..3: (a_1, a_1') = (+,+), (-,+), (+,-), (-,-), all others +1
+    rest = (1,) * (n - 1)
+    witnesses = [((a1,) + rest, (ap1,) + rest) for ap1 in (1, -1) for a1 in (1, -1)]
+    values = [_lhv_value(family, a, ap) for a, ap in witnesses]
+    best = values.index(max(values))
+    a, ap = witnesses[best]
     return LhvResult(
         n=n,
         family=family,
-        max_value=int(round(best_value)),
+        max_value=values[best],
         witness_a=a,
         witness_a_prime=ap,
-        witness_encoding=best_encoding,
+        witness_encoding=best,
     )
 
 
@@ -222,28 +201,24 @@ class ViolationRow:
     ratio: int
 
 
-def violation_table(
-    max_n: int, enumeration_limit: int = LHV_ENUMERATION_LIMIT
-) -> list[ViolationRow]:
+def violation_table(max_n: int, enumeration_limit: int = LHV_LIMIT) -> list[ViolationRow]:
     """Rows n = 3..max_n of (classical bound, quantum maximum 2^(n-1), ratio).
 
-    The closed-form bound 2^floor(n/2) is cross-checked by enumeration for
-    every row, which is why max_n is capped at the enumeration limit.
+    The closed-form bound 2^floor(n/2) is cross-checked against ``lhv_max``
+    for every row, so max_n is capped at the ``lhv_max`` limit.
     """
     if max_n < 3:
         raise ValueError("table needs max_n >= 3")
     if max_n > enumeration_limit:
         raise ResourceLimitError(
-            f"violation table rows need enumerated bounds; max_n={max_n} exceeds {enumeration_limit}"
+            f"violation table rows need lhv maxima; max_n={max_n} exceeds {enumeration_limit}"
         )
     rows = []
     for n in range(3, max_n + 1):
         bound = 2 ** (n // 2)
-        enumerated = lhv_max(n, "mermin", enumeration_limit).max_value
-        if enumerated != bound:
-            raise RuntimeError(
-                f"enumerated LHV max {enumerated} != closed form {bound} at n={n}"
-            )
+        classical = lhv_max(n, "mermin", enumeration_limit).max_value
+        if classical != bound:
+            raise RuntimeError(f"LHV max {classical} != closed form {bound} at n={n}")
         quantum = 2 ** (n - 1)
         rows.append(
             ViolationRow(n=n, lhv_bound=bound, quantum_max=quantum, ratio=quantum // bound)

@@ -5,7 +5,8 @@ matrices are assembled by Kronecker products of 2x2 letters, and products are
 formed one letter at a time from a table read off those 2x2 matrices, so
 agreement with the package is a real cross-check, not a tautology.  The
 commutator expansion of B^2 is rebuilt subset by subset through the general
-product, apart from the package's Kronecker construction.
+product, apart from the package's Kronecker construction.  Classical maxima
+are enumerated over all 4^n assignments, apart from the package's phase count.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 from merminlab.bell import site_anticommutators, site_commutators
 from merminlab.pauli import PauliOperator, dense_single
 from merminlab.settings import PlanarSettings
+from merminlab.spectra import LhvResult
 
 LETTERS = "IXYZ"
 
@@ -131,3 +133,33 @@ def subset_expansion_oracle(settings):
 def perpendicular_base(n):
     """Planar settings with every pair perpendicular (n_j . n_j' = 0)."""
     return PlanarSettings(tuple((0.41 * j, 0.41 * j + math.pi / 2) for j in range(n)))
+
+
+def lhv_enumeration_oracle(n, family="mermin"):
+    """Classical maximum and lowest maximizing encoding over all 4^n assignments.
+
+    Encoding as in LhvResult: bits (2j-2, 2j-1) hold (a_j, a_j'), bit value 0
+    meaning +1; np.argmax returns the first, i.e. lowest, maximizing encoding.
+    """
+    enc = np.arange(1 << (2 * n), dtype=np.int64)
+
+    def sign(bit):
+        return 1.0 - 2.0 * ((enc >> bit) & 1)
+
+    if family == "chsh":
+        a1, p1, a2, p2 = (sign(bit) for bit in range(4))
+        values = np.abs(a1 * a2 + a1 * p2 + p1 * a2 - p1 * p2)
+    else:
+        w = np.ones(len(enc), dtype=complex)
+        for j in range(n):
+            w *= sign(2 * j) + 1j * sign(2 * j + 1)
+        values = np.abs(w.imag)
+    best = int(np.argmax(values))
+    return LhvResult(
+        n=n,
+        family=family,
+        max_value=int(round(values[best])),
+        witness_a=tuple(1 - 2 * ((best >> (2 * j)) & 1) for j in range(n)),
+        witness_a_prime=tuple(1 - 2 * ((best >> (2 * j + 1)) & 1) for j in range(n)),
+        witness_encoding=best,
+    )

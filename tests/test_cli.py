@@ -108,7 +108,7 @@ class TestTable:
         }
 
     def test_resource_limit(self):
-        proc = run_cli("table", "--max-n", "13")
+        proc = run_cli("table", "--max-n", "32")
         assert proc.returncode == 3
         assert "resource" in proc.stderr.lower()
 
@@ -242,8 +242,10 @@ class TestLhv:
         assert report["max_value"] == 2
 
     def test_resource_limit(self):
-        proc = run_cli("lhv", "--n", "13")
+        proc = run_cli("lhv", "--n", "32")
         assert proc.returncode == 3
+        assert proc.stderr.startswith("resource limit:")
+        assert proc.stderr.count("\n") == 1
 
     def test_contract_error(self):
         proc = run_cli("lhv", "--n", "1")
@@ -260,6 +262,11 @@ class TestOptimize:
         assert abs(report["best_value"] - 64.0) < 1e-6
         assert all(abs(c) < 1e-3 for c in report["cos_included_angles"])
         assert report["overall_pass"] is True
+        iterations, evaluations = report["restart_iterations"], report["restart_evaluations"]
+        assert len(iterations) == len(evaluations) == 8
+        assert report["iterations"] == iterations[report["best_index"]]
+        # the initial simplex plus at least one evaluation per iteration
+        assert all(e >= i + 4 for i, e in zip(iterations, evaluations))
 
     def test_ghz_objective(self):
         report, code = run_json(

@@ -1,10 +1,10 @@
 """Classical (deterministic local-hidden-variable) maxima and the violation table."""
 
-import numpy as np
 import pytest
 
+from conftest import lhv_enumeration_oracle
 from merminlab.pauli import ResourceLimitError
-from merminlab.spectra import LhvResult, lhv_max, violation_table
+from merminlab.spectra import LHV_LIMIT, lhv_max, violation_table
 
 
 # frozen closed-form values 2^floor(n/2) for n = 2..8
@@ -15,6 +15,34 @@ EXPECTED = {2: 2, 3: 2, 4: 4, 5: 4, 6: 8, 7: 8, 8: 16}
 def test_enumerated_maximum_matches_closed_form(n, expected):
     result = lhv_max(n)
     assert result.max_value == expected
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_phase_count_matches_enumeration(n):
+    # the whole result, witness and encoding included, not just the maximum
+    assert lhv_max(n) == lhv_enumeration_oracle(n)
+
+
+def test_chsh_phase_count_matches_enumeration():
+    assert lhv_max(2, family="chsh") == lhv_enumeration_oracle(2, "chsh")
+
+
+@pytest.mark.parametrize("n", range(13, LHV_LIMIT + 1))
+def test_witness_beyond_enumeration(n):
+    # exact Gaussian-integer products of (a_j + i a_j') for the witness and
+    # for every lower encoding
+    def value(encoding):
+        re, im = 1, 0
+        for j in range(n):
+            a = 1 - 2 * ((encoding >> (2 * j)) & 1)
+            ap = 1 - 2 * ((encoding >> (2 * j + 1)) & 1)
+            re, im = re * a - im * ap, re * ap + im * a
+        return abs(im)
+
+    result = lhv_max(n)
+    assert result.max_value == 2 ** (n // 2)
+    assert value(result.witness_encoding) == result.max_value
+    assert all(value(e) < result.max_value for e in range(result.witness_encoding))
 
 
 def test_chsh_family_bound_is_2():
@@ -71,7 +99,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         lhv_max(3, family="bogus")
     with pytest.raises(ResourceLimitError):
-        lhv_max(13)
+        lhv_max(LHV_LIMIT + 1)
 
 
 def test_violation_table_frozen_rows():
@@ -106,5 +134,6 @@ def test_violation_ratio_closed_form():
 def test_violation_table_limits():
     with pytest.raises(ValueError):
         violation_table(2)
+    assert violation_table(LHV_LIMIT)[-1].lhv_bound == 2 ** (LHV_LIMIT // 2)
     with pytest.raises(ResourceLimitError):
-        violation_table(13)
+        violation_table(LHV_LIMIT + 1)

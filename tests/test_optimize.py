@@ -9,7 +9,9 @@ from merminlab.bell import mermin_operator, planar_spectral_max
 from merminlab.settings import PlanarSettings, random_planar
 from merminlab.spectra import expectation, ghz_state
 from merminlab.optimize import (
+    CLOSED_FORMS,
     OptimizeConfig,
+    _nelder_mead,
     objective_eval,
     optimize_angles,
     quantum_ceiling,
@@ -46,12 +48,28 @@ class TestObjectives:
 
     def test_objectives_depend_only_on_included_angles(self):
         rng = np.random.default_rng(501)
-        p = random_planar(4, rng)
-        q = p.shifted(tuple(float(rng.uniform(-3, 3)) for _ in range(4)))
-        for objective in ("planar_spectral_max", "ghz_expectation"):
-            assert objective_eval(p, objective) == pytest.approx(
-                objective_eval(q, objective), abs=1e-10
-            )
+        for n in (3, 4, 5, 6):
+            p = random_planar(n, rng)
+            q = p.shifted(tuple(float(rng.uniform(-3, 3)) for _ in range(n)))
+            for objective in ("planar_spectral_max", "ghz_expectation"):
+                assert objective_eval(p, objective) == pytest.approx(
+                    objective_eval(q, objective), abs=1e-10
+                )
+
+    def test_closed_forms_of_raw_included_angles(self):
+        # the optimizer evaluates the closed forms on unwrapped theta_j;
+        # objective_eval sees settings with random nonzero phi_j
+        rng = np.random.default_rng(503)
+        for n in (3, 4, 5, 6, 8):
+            thetas = rng.uniform(-4 * math.pi, 4 * math.pi, size=n)
+            phis = rng.uniform(-math.pi, math.pi, size=n)
+            assert np.all(phis != 0.0)
+            p = PlanarSettings(tuple((phi, phi + t) for phi, t in zip(phis, thetas)))
+            for objective, closed_form in CLOSED_FORMS.items():
+                want = objective_eval(p, objective)
+                assert closed_form(tuple(thetas)) == pytest.approx(
+                    want, rel=1e-9, abs=1e-9
+                )
 
     def test_spectral_objective_is_bell_square_max(self):
         rng = np.random.default_rng(502)
@@ -122,6 +140,39 @@ class TestOptimizeAngles:
                     for theta in outcome.angles.included_angles:
                         assert abs(math.cos(theta)) < 1e-3
 
+    def test_reported_azimuths_are_zero(self):
+        for objective in ("planar_spectral_max", "ghz_expectation"):
+            result = optimize_angles(OptimizeConfig(n=4, objective=objective, seed=4))
+            for outcome in result.outcomes:
+                assert all(phi == 0.0 for phi, _ in outcome.angles.angles)
+
+    def test_evaluation_counts(self):
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return float(np.sum((x - 0.3) ** 2))
+
+        x, value, iterations, evaluations, converged = _nelder_mead(
+            func, np.zeros(3), 500, 1e-12, 1e-9
+        )
+        assert converged
+        assert evaluations == len(calls)
+        assert evaluations >= 4 + iterations
+        assert np.max(np.abs(x - 0.3)) < 1e-4
+        assert value == func(x)
+        # flat except at the start vertex: every iteration reflects, contracts
+        # and shrinks, 2 + 3 evaluations, until the simplex is below 1e-9
+        x, value, iterations, evaluations, converged = _nelder_mead(
+            lambda v: 0.0 if not v.any() else 1.0, np.zeros(3), 500, 1e-12, 1e-9
+        )
+        assert converged and value == 0.0 and not x.any()
+        assert evaluations == 4 + 5 * iterations
+        assert iterations == 29
+        result = optimize_angles(OptimizeConfig(n=5, restarts=3, seed=6))
+        for outcome in result.outcomes:
+            assert outcome.evaluations >= 6 + outcome.iterations
+
     def test_wrapped_angles_in_result(self):
         result = optimize_angles(OptimizeConfig(n=3, seed=8))
         for phi, phi_prime in result.best_angles.angles:
@@ -134,11 +185,9 @@ class TestPinnedAngles:
         result = optimize_angles(
             OptimizeConfig(n=5, objective="planar_spectral_max", pinned_zero=(2, 4))
         )
-        thetas = result.best_angles.included_angles
-        for j in (2, 4):
-            # wrapped phi' - phi may sit at a multiple of 2 pi
-            assert abs(math.sin(thetas[j - 1])) < 1e-12
-            assert math.cos(thetas[j - 1]) > 0.999
+        for outcome in result.outcomes:
+            for j in (2, 4):
+                assert outcome.angles.angles[j - 1] == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "n,m", [(5, 1), (6, 2)]
