@@ -18,6 +18,7 @@ from .pauli import (
     embed,
     multiply,
     single_spin_operator,
+    sum_operators,
     tensor,
     to_dense,
 )
@@ -51,7 +52,6 @@ from .bell import (
     planar_spectral_max,
     planar_square_diagonal,
     reduction_check,
-    site_anticommutators,
     site_commutators,
     three_particle_operator,
 )

@@ -12,17 +12,24 @@ and anticommutators A_j = {sigma_j, sigma_j'}:
 with 2k running to n-1 for odd n; for even n the sum stops at n-2 and picks up
 the closing term (-1)^(n/2) (1/2) (prod_j C_j - prod_j A_j).
 
-Both sides are built from per-particle factors, never by multiplying n-particle
-operators.  With P = (x)_j (sigma_j + i sigma_j') and its partner Pbar,
+B itself and both sides are built from per-particle factors, never by
+multiplying n-particle operators.  P = (x)_j (sigma_j + i sigma_j') is one
+Kronecker chain, and its partner Pbar = (x)_j (sigma_j - i sigma_j') has the
+conjugate coefficients, so B = (P - Pbar) / 2i keeps the imaginary parts of
+P's coefficients.  The square is
 
     B^2 = -(1/4) (P^2 + Pbar^2 - P Pbar - Pbar P),
 
 and each of the four products is the Kronecker product of 2x2 products, so the
 direct square costs O(4^n) instead of the O(9^n) of squaring the 3^n terms of
 B.  The inner sums are elementary symmetric polynomials e_2k(C_1, ..., C_n) of
-commuting operators on distinct particles; they are the parts of
-(x)_j (I + C_j) with 2k non-identity letters, built in n Kronecker steps
-instead of C(n, 2k) subset products each.
+commuting operators on distinct particles: with h_j = (i/2) C_j,
+
+    sum_k (-1/4)^k e_2k = ((x)_j (I + h_j) + (x)_j (I - h_j)) / 2,
+
+since the two chains agree on the products of an even number of h_j and
+cancel on the rest, so the expansion takes two chains of n Kronecker steps
+instead of C(n, 2k) subset products per group.
 
 The spectrum of B has a closed form for any settings.  sigma_j and sigma_j'
 both anticommute with w_j . sigma, where w_j = n_j x n_j' and C_j = 2i w_j . sigma,
@@ -54,12 +61,11 @@ from .pauli import (
     PauliOperator,
     ResourceLimitError,
     UnitVector3,
-    _sum_codes,
-    _tensor_codes,
-    anticommutator,
     commutator,
     embed,
     single_spin_operator,
+    sum_operators,
+    tensor,
 )
 from .settings import MeasurementSettings, PlanarSettings, SettingPair
 
@@ -70,11 +76,11 @@ def site_spin_operators(
     """Embedded sigma(n_j) and sigma(n_j') for every particle, 1-based order."""
     n = settings.n
     first = [
-        embed(single_spin_operator(pair.a), j + 1, n)
+        embed(single_spin_operator(pair.a), (j + 1,), n)
         for j, pair in enumerate(settings.pairs)
     ]
     second = [
-        embed(single_spin_operator(pair.b), j + 1, n)
+        embed(single_spin_operator(pair.b), (j + 1,), n)
         for j, pair in enumerate(settings.pairs)
     ]
     return first, second
@@ -83,21 +89,18 @@ def site_spin_operators(
 def site_commutators(settings: MeasurementSettings) -> list[PauliOperator]:
     """Embedded single-particle commutators C_j = [sigma(n_j), sigma(n_j')]."""
     n = settings.n
-    out = []
-    for j, pair in enumerate(settings.pairs):
-        local = commutator(single_spin_operator(pair.a), single_spin_operator(pair.b))
-        out.append(embed(local, j + 1, n) if local.terms else PauliOperator.zero(n))
-    return out
+    return [
+        embed(commutator(single_spin_operator(pair.a), single_spin_operator(pair.b)), (j + 1,), n)
+        for j, pair in enumerate(settings.pairs)
+    ]
 
 
-def site_anticommutators(settings: MeasurementSettings) -> list[PauliOperator]:
-    """Embedded single-particle anticommutators A_j = {sigma(n_j), sigma(n_j')} = 2 (n_j . n_j') I."""
-    n = settings.n
-    out = []
-    for j, pair in enumerate(settings.pairs):
-        local = anticommutator(single_spin_operator(pair.a), single_spin_operator(pair.b))
-        out.append(embed(local, j + 1, n) if local.terms else PauliOperator.zero(n))
-    return out
+def _site_factors(settings: MeasurementSettings, sign: complex) -> list[PauliOperator]:
+    """Single-particle sigma(n_j) + sign sigma(n_j') for every particle (sign = +-i)."""
+    return [
+        single_spin_operator(pair.a) + single_spin_operator(pair.b).scale(sign)
+        for pair in settings.pairs
+    ]
 
 
 # ---- operator constructors ------------------------------------------------
@@ -124,23 +127,10 @@ def mermin_operator(settings: MeasurementSettings) -> PauliOperator:
 
     The two products are coefficientwise complex conjugates (each factor acts on
     its own particle), so the subtraction reduces to keeping Im of the plus
-    product's coefficients.  A test rebuilds the literal two-product form through
-    the general multiply and checks agreement.
+    product's coefficients: one Kronecker chain.  A test rebuilds the literal
+    two-product form through the general multiply and checks agreement.
     """
-    acc: dict[str, complex] = {"": 1.0 + 0.0j}
-    for pair in settings.pairs:
-        factor = {
-            "X": pair.a.x + 1j * pair.b.x,
-            "Y": pair.a.y + 1j * pair.b.y,
-            "Z": pair.a.z + 1j * pair.b.z,
-        }
-        grown: dict[str, complex] = {}
-        for prefix, c in acc.items():
-            for letter, fc in factor.items():
-                if fc != 0.0:
-                    grown[prefix + letter] = c * fc
-        acc = grown
-    return PauliOperator(settings.n, {s: c.imag for s, c in acc.items()})
+    return tensor(_site_factors(settings, 1j)).imaginary_part()
 
 
 def canonical_mermin(n: int) -> PauliOperator:
@@ -189,21 +179,18 @@ def _factored_square(
     and each of the four products is the Kronecker product of one-particle
     products, so no product spans more than one particle.
     """
-    plus, minus = [], []
-    for pair in settings.pairs:
-        a, b = single_spin_operator(pair.a), single_spin_operator(pair.b)
-        plus.append(a + b.scale(1j))
-        minus.append(a + b.scale(-1j))
-    parts = []
-    for weight, left, right in (
-        (alpha * alpha, plus, plus),
-        (beta * beta, minus, minus),
-        (alpha * beta, plus, minus),
-        (alpha * beta, minus, plus),
-    ):
-        x, z, c = _tensor_codes([f * g for f, g in zip(left, right)])
-        parts.append((x, z, weight * c))
-    return _sum_codes(settings.n, parts)
+    plus, minus = _site_factors(settings, 1j), _site_factors(settings, -1j)
+    return sum_operators(
+        [
+            tensor([f * g for f, g in zip(left, right)]).scale(weight)
+            for weight, left, right in (
+                (alpha * alpha, plus, plus),
+                (beta * beta, minus, minus),
+                (alpha * beta, plus, minus),
+                (alpha * beta, minus, plus),
+            )
+        ]
+    )
 
 
 def mermin_square(settings: MeasurementSettings) -> PauliOperator:
@@ -237,37 +224,30 @@ def chsh_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
 def mermin_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
     """Full commutator expansion of B^2 for any n >= 3, residual-checked.
 
-    The group sum e_k(C_1, ..., C_n) over all k-particle subsets is the part
-    of (x)_j (I + C_j) whose strings have k non-identity letters: no C_j has
-    an identity part, so a string's support is exactly its subset, and the
-    Kronecker chain E_k <- E_k (x) I + E_(k-1) (x) C_j builds every group at
-    once.  Distinct subsets never share a string, so each string's group, and
-    with it its weight, is read off the number of letters it holds.
+    The weighted group sums 2^(n-1) sum_k (-1/4)^k e_2k(C_1, ..., C_n),
+    including the closing (-1)^(n/2) (1/2) prod_j C_j at 2k = n, are the mean
+    of the chains 2^(n-1) (x)_j (I +- (i/2) C_j) (see the module docstring).
     """
     n = settings.n
     if n < 3:
         raise ValueError("mermin_square_expansion needs n >= 3 (use chsh_square_expansion)")
     identity = PauliOperator.identity(1)
-    x, z, c = _tensor_codes(
-        [
-            identity + commutator(single_spin_operator(pair.a), single_spin_operator(pair.b))
-            for pair in settings.pairs
-        ]
-    )
-    # weight (-1)^k 2^(n-2k-1) for group order 2k, including the closing
-    # (-1)^(n/2) (1/2) prod_j C_j at 2k = n; odd orders drop out
-    weights = np.zeros(n + 1)
-    weights[::2] = [(-1) ** k * 2.0 ** (n - 2 * k - 1) for k in range(n // 2 + 1)]
-    parts = [(x, z, c * weights[np.bitwise_count(x | z)])]
+    halves = [
+        commutator(single_spin_operator(pair.a), single_spin_operator(pair.b)).scale(0.5j)
+        for pair in settings.pairs
+    ]
+    parts = []
+    for first, *rest in ([identity + h for h in halves], [identity - h for h in halves]):
+        # 2^(n-1) rides on the first factor, so each chain is pruned at full scale
+        parts.append(tensor([first.scale(2.0 ** (n - 1)), *rest]))
     final_term_count = 0
     if n % 2 == 0:
-        # the rest of the closing term: -(-1)^(n/2) (1/2) prod_j A_j, A_j = 2 (n_j . n_j') I
+        # the rest of the closing term: -(-1)^(n/2) (1/2) prod_j A_j, A_j = 2 (n_j . n_j') I,
+        # doubled because the sum is halved
         anticommutators = math.prod(2.0 * pair.a.dot(pair.b) for pair in settings.pairs)
-        closing = -0.5 * (-1) ** (n // 2) * anticommutators
-        origin = np.zeros(1, dtype=np.uint64)
-        parts.append((origin, origin, np.array([closing], dtype=np.complex128)))
+        parts.append(PauliOperator.identity(n, -(-1) ** (n // 2) * anticommutators))
         final_term_count = 2
-    expansion = _sum_codes(n, parts)
+    expansion = sum_operators(parts).scale(0.5)
     top = n - 1 if n % 2 else n - 2
     return ExpansionReport(
         n=n,
@@ -319,16 +299,28 @@ def mermin_spectrum(settings: MeasurementSettings) -> np.ndarray:
         )
     (plus, minus), *rest = (_site_amplitudes(pair) for pair in settings.pairs)
     plus, minus = plus[:1], minus[:1]
-    for alpha, beta in rest:
-        plus = np.kron(plus, alpha)
-        minus = np.kron(minus, beta)
-    values = np.sort(0.5 * np.abs(plus - minus))
-    return np.concatenate((-values[::-1], values))
+    *rest, (alpha, beta) = rest
+    for a, b in rest:
+        plus = np.kron(plus, a)
+        minus = np.kron(minus, b)
+    # the last site goes straight into the difference, one column per s_n, so
+    # neither full chain is ever held and the result is the only large array left
+    diff = np.empty((len(plus), 2), dtype=np.complex128)
+    for s in (0, 1):
+        np.multiply(plus, alpha[s], out=diff[:, s])
+        diff[:, s] -= minus * beta[s]
+    del plus, minus
+    values = np.abs(diff).ravel()
+    del diff
+    values *= 0.5
+    values.sort()
+    spectrum = np.empty(2 * len(values))
+    np.negative(values[::-1], out=spectrum[: len(values)])
+    spectrum[len(values) :] = values
+    return spectrum
 
 
-def planar_square_diagonal(
-    planar: PlanarSettings, limit: int = PLANAR_DIAGONAL_LIMIT
-) -> np.ndarray:
+def planar_square_diagonal(planar: PlanarSettings) -> np.ndarray:
     """Diagonal of B^2 in the computational basis for planar settings.
 
     For settings in the x-y plane, B^2 contains only I/Z letters, so it is
@@ -339,8 +331,10 @@ def planar_square_diagonal(
     where e = (-1)^(n/2) prod(cos theta_j) for even n, 0 for odd n.
     """
     n = planar.n
-    if n > limit:
-        raise ResourceLimitError(f"planar diagonal for n={n} exceeds limit {limit}")
+    if n > PLANAR_DIAGONAL_LIMIT:
+        raise ResourceLimitError(
+            f"planar diagonal for n={n} exceeds limit {PLANAR_DIAGONAL_LIMIT}"
+        )
     sines = [math.sin(t) for t in planar.included_angles]
     plus = np.ones(1)
     minus = np.ones(1)
@@ -481,17 +475,6 @@ class ReductionReport:
     perpendicular_survivor: int | None
 
 
-def _lift(op: PauliOperator, positions: tuple[int, ...], n: int) -> PauliOperator:
-    """Pad an operator on len(positions) particles with identities into n slots."""
-    out = {}
-    for s, c in op.terms.items():
-        letters = ["I"] * n
-        for letter, pos in zip(s, positions):
-            letters[pos - 1] = letter
-        out["".join(letters)] = c
-    return PauliOperator(n, out)
-
-
 #: the coefficient compare holds the absolute --tol 1e-10 through n = 16; at
 #: n = 20 (m = 3) the residual reached 1.2e-10, as B^2 coefficients grow like 2^(n-1)
 REDUCTION_LIMIT = 16
@@ -518,7 +501,7 @@ def reduction_check(base: PlanarSettings, spec: ReductionSpec) -> ReductionRepor
     sq_reduced = mermin_square(reduced)
 
     factor = float(2**spec.m)
-    residual = sq_full.max_coeff_diff(_lift(sq_reduced, survivors, n).scale(factor))
+    residual = sq_full.max_coeff_diff(embed(sq_reduced, survivors, n).scale(factor))
 
     top_full = float(mermin_spectrum(full)[-1])
     top_reduced = float(mermin_spectrum(reduced)[-1])

@@ -47,6 +47,9 @@ CLOSED_FORMS = {
 
 _OBJECTIVE_N_RANGE = {"planar_spectral_max": (3, 20), "ghz_expectation": (3, 12)}
 
+_VALUE_TOL = 1e-10
+_SIMPLEX_TOL = 1e-8
+
 
 def objective_eval(planar: PlanarSettings, objective: str) -> float:
     """Evaluate one objective at explicit planar settings."""
@@ -71,8 +74,6 @@ class OptimizeConfig:
     restarts: int = 8
     max_iters: int = 4000
     seed: int = 0
-    value_tol: float = 1e-10
-    simplex_tol: float = 1e-8
     pinned_zero: tuple[int, ...] = ()
 
     def validate(self) -> None:
@@ -197,7 +198,7 @@ def optimize_angles(config: OptimizeConfig) -> OptimizeResult:
     for _ in range(config.restarts):
         x0 = rng.uniform(-math.pi, math.pi, size=len(free))
         x_best, _, iterations, evaluations, converged = _nelder_mead(
-            negated, x0, config.max_iters, config.value_tol, config.simplex_tol
+            negated, x0, config.max_iters, _VALUE_TOL, _SIMPLEX_TOL
         )
         angles = PlanarSettings(
             tuple((0.0, wrap_angle(theta)) for theta in included_angles(x_best))

@@ -13,36 +13,33 @@ Conventions used everywhere in this package:
 * coefficients with magnitude below ``PRUNE_TOL`` are dropped after every
   operation.
 
-Every string is encoded at once into flip bits x (X or Y) and phase bits z
-(Z or Y), so that string = i^|x & z| X^x Z^z.  One product kernel serves all
-sizes: it combines the masks of all term pairs at once and sums coefficients
-per packed key (x << n) | z, which caps products at n = 32.  Up to n = 10 the
-sums go into 4^n bincount bins, the fastest route; above that the bins take
-too much memory (256 MiB at n = 12), so keys are merged by sorting instead.
-The Kronecker product of single-particle operators (``tensor``) works on the
-same masks: each factor shifts the masks of every term so far by one bit and
-appends its own letter, one vectorised outer step per particle; the terms
-then go through the same summation as a product, with the same n = 32 cap.
-Dense conversion and statevector action share one kernel: the terms are
-grouped by flip mask x, and one Walsh-Hadamard transform over z of the
-coefficients c(x, z) i^|x & z| gives the diagonal d_x with
-op|i> = sum_x d_x[i] |i ^ x>.  The masks are processed in chunks of a fixed
-entry count, so no step beyond the dense result holds a 2^n x 2^n array.
+An operator holds a sorted uint64 key array and a complex128 coefficient
+array.  A key gives each particle two bits, particle 1 most significant, with
+the letter codes I, Z, X, Y = 0, 1, 2, 3: the high bit of a code is the flip
+bit x (X or Y), the low bit the phase bit z (Z or Y), and the letter is
+i^(x z) X^x Z^z.  Keys hold 2n bits, so operators stop at n = 32.  Strings
+appear only where a caller reads or writes them: the dict constructor,
+``coefficient``, ``repr`` and the derived ``terms`` mapping.  Products XOR
+keys and read their phase off bit-plane popcounts; sums add equal keys in
+4^n bins or merge them by sorting (``_summed``); a Kronecker chain of
+single-particle factors (``tensor``) appends two bits per factor and comes
+out sorted and free of repeats; dense conversion and statevector action
+share one Walsh-Hadamard kernel (``_flip_blocks``).
 
-Values are treated as immutable after construction and all operations are
-pure functions, so operators can be shared freely between threads.
+Values are treated as immutable after construction (their arrays are
+read-only) and all operations are pure functions, so operators can be shared
+freely between threads.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from types import MappingProxyType
 
 import numpy as np
-
-LETTERS = "IXYZ"
 
 #: coefficient magnitudes at or below this are pruned after every operation
 PRUNE_TOL = 1e-13
@@ -50,19 +47,20 @@ PRUNE_TOL = 1e-13
 #: default cap on dense conversions: 2^12 x 2^12 complex is ~256 MB
 DENSE_LIMIT = 12
 
-# Letters use the symplectic encoding L = i^(x*z) X^x Z^z with I=(0,0),
-# X=(1,0), Y=(1,1), Z=(0,1), coded as 2*x + z.  _CODE_LETTER maps a code to
-# the letter's ASCII byte and _LETTER_CODE maps the byte back.
+# _CODE_LETTER maps a letter code to its ASCII byte and _LETTER_CODE maps the
+# byte back; 255 marks a byte that is no letter
 _CODE_LETTER = np.frombuffer(b"IZXY", dtype=np.uint8)
-_LETTER_CODE = np.zeros(256, dtype=np.uint8)
+_LETTER_CODE = np.full(256, 255, dtype=np.uint8)
 _LETTER_CODE[_CODE_LETTER] = np.arange(4)
 
 # i^k for k = 0..3
 _PHASE_ARR = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 
-# bincount accumulation allocates 4^n bins; beyond this fall back to np.unique
-_BINCOUNT_MAX_N = 10
-# a product key packs (x << n) | z into a uint64, so 2n bits must fit
+# the phase bit of every particle's code
+_PHASE_BITS = np.uint64(0x5555_5555_5555_5555)
+_ONE = np.uint64(1)
+
+# a key holds 2n bits of a uint64
 _KEY_MAX_N = 32
 # products combine this many term pairs at a time
 _CHUNK_PAIRS = 4_000_000
@@ -75,11 +73,6 @@ _SINGLE_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
-
-
-# flip bits x, phase bits z (particle 1 in the highest bit) and coefficient of
-# every term of an operator under construction
-_Codes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class ResourceLimitError(RuntimeError):
@@ -122,36 +115,77 @@ class UnitVector3:
         return UnitVector3(-self.x, -self.y, -self.z)
 
 
-def _make(n: int, terms: dict[str, complex]) -> "PauliOperator":
-    # internal fast path: terms already validated and pruned
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("particle count must be >= 1")
+    if n > _KEY_MAX_N:
+        raise ResourceLimitError(
+            f"keys hold 2n bits of a uint64; n={n} exceeds {_KEY_MAX_N}"
+        )
+
+
+def _make(n: int, keys: np.ndarray, coeffs: np.ndarray) -> "PauliOperator":
+    # internal fast path: keys sorted and distinct, coefficients finite and pruned
+    keys.flags.writeable = False
+    coeffs.flags.writeable = False
     op = object.__new__(PauliOperator)
     op.n = n
-    op.terms = terms
+    op.keys = keys
+    op.coeffs = coeffs
     return op
+
+
+def _pruned(n: int, keys: np.ndarray, coeffs: np.ndarray) -> "PauliOperator":
+    keep = np.abs(coeffs) > PRUNE_TOL
+    return _make(n, keys[keep], coeffs[keep])
+
+
+def _keys_of(strings: Sequence[str], n: int) -> np.ndarray:
+    """Keys of n-letter strings, all encoded at once from their joined ASCII bytes."""
+    for string in strings:
+        if len(string) != n:
+            raise ValueError(f"bad Pauli string {string!r} for n={n}")
+    # a non-ASCII character becomes one "?", which is no letter either
+    letters = np.frombuffer("".join(strings).encode("ascii", "replace"), dtype=np.uint8)
+    codes = _LETTER_CODE[letters].reshape(-1, n)
+    bad = (codes == 255).any(axis=1)
+    if bad.any():
+        raise ValueError(f"bad Pauli string {strings[int(bad.argmax())]!r} for n={n}")
+    weights = np.uint64(1) << np.arange(2 * (n - 1), -1, -2, dtype=np.uint64)
+    return codes @ weights
+
+
+def _strings(keys: np.ndarray, n: int) -> list[str]:
+    """Strings of ``keys``; the letters of every string and a space after each
+    go into one ASCII buffer, which a single ``str.split`` cuts apart."""
+    shifts = np.arange(2 * (n - 1), -1, -2, dtype=np.uint64)
+    letters = np.full((len(keys), n + 1), ord(" "), dtype=np.uint8)
+    letters[:, :n] = _CODE_LETTER[(keys[:, None] >> shifts) & np.uint64(3)]
+    return letters.tobytes().decode("ascii").split()
 
 
 class PauliOperator:
     """Sparse sum of n-particle Pauli strings with complex coefficients.
 
-    ``op.terms`` maps strings over {I,X,Y,Z} (length ``op.n``) to nonzero
-    complex coefficients.  Treat instances as immutable.
+    ``op.keys`` (sorted uint64 site codes, see the module docstring) and
+    ``op.coeffs`` (nonzero complex128) hold the terms; ``op.terms`` maps the
+    strings over {I,X,Y,Z} (length ``op.n``) to the coefficients.  Treat
+    instances as immutable.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "keys", "coeffs")
 
-    def __init__(self, n: int, terms: dict[str, complex] | None = None):
-        if n < 1:
-            raise ValueError("particle count must be >= 1")
-        clean: dict[str, complex] = {}
-        if terms:
-            for string, coeff in terms.items():
-                if len(string) != n or any(ch not in LETTERS for ch in string):
-                    raise ValueError(f"bad Pauli string {string!r} for n={n}")
-                c = complex(coeff)
-                if abs(c) > PRUNE_TOL:
-                    clean[string] = c
-        self.n = n
-        self.terms = clean
+    def __init__(self, n: int, terms: Mapping[str, complex] | None = None):
+        _check_n(n)
+        terms = terms or {}
+        strings = list(terms)
+        coeffs = np.fromiter(map(complex, terms.values()), np.complex128, len(strings))
+        if not np.isfinite(coeffs).all():
+            raise ValueError("Pauli coefficients must be finite")
+        keys = _keys_of(strings, n)
+        order = np.argsort(keys)
+        op = _pruned(n, keys[order], coeffs[order])
+        self.n, self.keys, self.coeffs = n, op.keys, op.coeffs
 
     @classmethod
     def zero(cls, n: int) -> "PauliOperator":
@@ -167,10 +201,18 @@ class PauliOperator:
 
     @property
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self.keys)
+
+    @property
+    def terms(self) -> Mapping[str, complex]:
+        """Read-only mapping from each string to its coefficient, built on access."""
+        return MappingProxyType(dict(zip(_strings(self.keys, self.n), self.coeffs.tolist())))
 
     def coefficient(self, string: str) -> complex:
-        return self.terms.get(string, 0.0 + 0.0j)
+        key = _keys_of([string], self.n)[0]
+        i = int(np.searchsorted(self.keys, key))
+        found = i < len(self.keys) and self.keys[i] == key
+        return complex(self.coeffs[i]) if found else 0.0 + 0.0j
 
     # ---- linear structure -------------------------------------------------
 
@@ -181,26 +223,25 @@ class PauliOperator:
     def __add__(self, other: "PauliOperator") -> "PauliOperator":
         if not isinstance(other, PauliOperator):
             return NotImplemented
-        self._check_same_n(other)
-        merged = dict(self.terms)
-        for s, c in other.terms.items():
-            merged[s] = merged.get(s, 0.0 + 0.0j) + c
-        return _make(self.n, {s: c for s, c in merged.items() if abs(c) > PRUNE_TOL})
+        return sum_operators((self, other))
 
     def __sub__(self, other: "PauliOperator") -> "PauliOperator":
         if not isinstance(other, PauliOperator):
             return NotImplemented
-        return self + other.scale(-1.0)
+        return self + (-other)
 
     def __neg__(self) -> "PauliOperator":
-        return self.scale(-1.0)
+        return _make(self.n, self.keys, -self.coeffs)
 
     def scale(self, factor: complex) -> "PauliOperator":
         factor = complex(factor)
-        return _make(
-            self.n,
-            {s: c * factor for s, c in self.terms.items() if abs(c * factor) > PRUNE_TOL},
-        )
+        if not cmath.isfinite(factor):
+            raise ValueError(f"non-finite scale factor {factor}")
+        return _pruned(self.n, self.keys, self.coeffs * factor)
+
+    def imaginary_part(self) -> "PauliOperator":
+        """(op - op^dagger) / 2i: the imaginary parts of the coefficients, as real ones."""
+        return _pruned(self.n, self.keys, self.coeffs.imag.astype(np.complex128))
 
     def __mul__(self, other):
         if isinstance(other, PauliOperator):
@@ -219,28 +260,21 @@ class PauliOperator:
     def max_coeff_diff(self, other: "PauliOperator") -> float:
         """Largest |coefficient difference| over the union of both term sets."""
         self._check_same_n(other)
-        mine, theirs = self.terms, other.terms
-        # lookups through map/fromiter stay in C: a Python loop took three
-        # times as long on the 524k-term squares at n = 10
-        shared = np.fromiter(mine.values(), np.complex128, len(mine)) - np.fromiter(
-            map(theirs.get, mine, repeat(0.0 + 0.0j)), np.complex128, len(mine)
+        _, diff = _merged(
+            np.concatenate((self.keys, other.keys)),
+            np.concatenate((self.coeffs, -other.coeffs)),
         )
-        only_theirs = np.fromiter(
-            map(theirs.__getitem__, theirs.keys() - mine.keys()), np.complex128
-        )
-        return float(
-            max(np.abs(shared).max(initial=0.0), np.abs(only_theirs).max(initial=0.0))
-        )
+        return float(np.abs(diff).max(initial=0.0))
 
     def approx_equal(self, other: "PauliOperator", tol: float = 1e-10) -> bool:
         return self.max_coeff_diff(other) <= tol
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         """Pauli strings are Hermitian, so hermiticity == all coefficients real."""
-        return all(abs(c.imag) <= tol for c in self.terms.values())
+        return bool(np.all(np.abs(self.coeffs.imag) <= tol))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num_terms:
             return f"PauliOperator(n={self.n}, 0)"
         items = sorted(self.terms.items())
         parts = [f"({c:.6g})*{s}" for s, c in items[:8]]
@@ -248,136 +282,100 @@ class PauliOperator:
         return f"PauliOperator(n={self.n}, {' + '.join(parts)}{tail})"
 
 
-# ---- products -------------------------------------------------------------
+# ---- sums and products ----------------------------------------------------
 
 
-def _encode(op: PauliOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flip bits x, phase bits z, Y counts |x & z| and coefficients of every term.
-
-    Bit n-1-k of x and z belongs to string position k.  All strings are
-    encoded at once from their joined ASCII bytes.
-    """
-    n = op.n
-    letters = np.frombuffer("".join(op.terms).encode("ascii"), dtype=np.uint8)
-    codes = _LETTER_CODE[letters].reshape(-1, n)
-    weights = np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64)
-    xs = (codes >> 1) @ weights
-    zs = (codes & 1) @ weights
-    ys = np.bitwise_count(xs & zs).astype(np.int64)
-    cs = np.fromiter(op.terms.values(), dtype=np.complex128, count=len(op.terms))
-    return xs, zs, ys, cs
-
-
-def _decode(keys: np.ndarray, n: int) -> list[str]:
-    """Strings of packed ``(x << n) | z`` keys; the inverse of ``_encode``.
-
-    The letters of every string and a space after each go into one ASCII
-    buffer, which a single ``str.split`` cuts into the strings.
-    """
-    bits = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    keys = keys.astype(np.uint64)[:, None]
-    x = (keys >> (bits + np.uint64(n))) & np.uint64(1)
-    z = (keys >> bits) & np.uint64(1)
-    letters = np.full((len(keys), n + 1), ord(" "), dtype=np.uint8)
-    letters[:, :n] = _CODE_LETTER[2 * x + z]
-    return letters.tobytes().decode("ascii").split()
-
-
-def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys and the sum of the values under each."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=vals.real) + 1j * np.bincount(
-        inverse, weights=vals.imag
+def _merged(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and the sum of the coefficients under each, added
+    one by one in input order."""
+    order = np.argsort(keys, kind="stable")
+    keys, coeffs = keys[order], coeffs[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    group = np.cumsum(first) - 1
+    sums = np.bincount(group, weights=coeffs.real) + 1j * np.bincount(
+        group, weights=coeffs.imag
     )
-    return uniq, sums
+    return keys[first], sums
+
+
+def _summed(n: int, parts: Iterable[tuple[np.ndarray, np.ndarray]], size: int) -> PauliOperator:
+    """The operator summing the (keys, coefficients) parts, the coefficients
+    under a key added in input order.  ``size`` entries held at once (all
+    parts of a sum, one chunk of a product) fill 4^n bins indexed by key when
+    size >= 4^n, so the bins never outgrow them; fewer are merged by sorting."""
+    if size >= 1 << (2 * n):
+        acc = np.zeros(1 << (2 * n), dtype=np.complex128)
+        for keys, coeffs in parts:
+            idx = keys.view(np.int64)
+            acc.real += np.bincount(idx, weights=coeffs.real, minlength=acc.size)
+            acc.imag += np.bincount(idx, weights=coeffs.imag, minlength=acc.size)
+        keys = np.flatnonzero(np.abs(acc) > PRUNE_TOL)
+        return _make(n, keys.view(np.uint64), acc[keys])
+    merged = [_merged(keys, coeffs) for keys, coeffs in parts]
+    if len(merged) > 1:
+        merged = [_merged(*(np.concatenate(part) for part in zip(*merged)))]
+    return _pruned(n, *merged[0])
+
+
+def sum_operators(ops: Sequence[PauliOperator]) -> PauliOperator:
+    """Sum of operators on the same particle count, equal strings merged once."""
+    if not ops:
+        raise ValueError("sum_operators needs at least one operator")
+    for op in ops[1:]:
+        ops[0]._check_same_n(op)
+    parts = [(op.keys, op.coeffs) for op in ops]
+    return _summed(ops[0].n, parts, sum(op.num_terms for op in ops))
+
+
+def _phase_count(keys: np.ndarray) -> np.ndarray:
+    """Number of Y letters of every key, |x & z| per string."""
+    return np.bitwise_count(keys & (keys >> _ONE) & _PHASE_BITS)
 
 
 def _product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """a*b over all term pairs, in chunks of about ``_CHUNK_PAIRS`` pairs.
 
     String (x1, z1) times (x2, z2) is string (x1 ^ x2, z1 ^ z2) = (x3, z3)
-    times i^(|x1 & z1| + |x2 & z2| + 2|z1 & x2| - |x3 & z3|).
+    times i^(|x1 & z1| + |x2 & z2| + 2|z1 & x2| - |x3 & z3|).  The counts are
+    uint8 and may wrap, which keeps them right mod 4.
     """
     a._check_same_n(b)
-    if not a.terms or not b.terms:
+    if not a.num_terms or not b.num_terms:
         return PauliOperator.zero(a.n)
-    xa, za, ya, ca = _encode(a)
-    xb, zb, yb, cb = _encode(b)
+    ya, yb = _phase_count(a.keys), _phase_count(b.keys)
+    flips_b = (b.keys >> _ONE) & _PHASE_BITS
+    rows_per_chunk = max(1, _CHUNK_PAIRS // b.num_terms)
 
     def chunks():
-        rows_per_chunk = max(1, _CHUNK_PAIRS // len(cb))
-        for start in range(0, len(ca), rows_per_chunk):
+        for start in range(0, a.num_terms, rows_per_chunk):
             sl = slice(start, start + rows_per_chunk)
-            x3 = xa[sl, None] ^ xb[None, :]
-            z3 = za[sl, None] ^ zb[None, :]
+            keys = a.keys[sl, None] ^ b.keys[None, :]
             exponent = (
                 ya[sl, None]
                 + yb[None, :]
-                + 2 * np.bitwise_count(za[sl, None] & xb[None, :]).astype(np.int64)
-                - np.bitwise_count(x3 & z3).astype(np.int64)
+                + 2 * np.bitwise_count(a.keys[sl, None] & flips_b[None, :])
+                - _phase_count(keys)
             ) & 3
-            coeff = ca[sl, None] * cb[None, :] * _PHASE_ARR[exponent]
-            yield x3.ravel(), z3.ravel(), coeff.ravel()
+            coeffs = a.coeffs[sl, None] * b.coeffs[None, :] * _PHASE_ARR[exponent]
+            yield keys.ravel(), coeffs.ravel()
 
-    return _sum_codes(a.n, chunks())
-
-
-def _sum_codes(n: int, parts: Iterable[_Codes]) -> PauliOperator:
-    """The operator summing the terms of all parts, equal strings merged.
-
-    Up to ``_BINCOUNT_MAX_N`` particles the coefficients accumulate into 4^n
-    bins indexed by the packed key (x << n) | z; above that each part is
-    merged by sorting, then the merged parts are merged the same way.
-    """
-    if n > _KEY_MAX_N:
-        raise ResourceLimitError(
-            f"packed keys hold 2n bits of a uint64; n={n} exceeds {_KEY_MAX_N}"
-        )
-    shift = np.uint64(n)
-    if n <= _BINCOUNT_MAX_N:
-        acc = np.zeros(1 << (2 * n), dtype=np.complex128)
-        for x, z, c in parts:
-            idx = ((x << shift) | z).astype(np.int64)
-            acc.real += np.bincount(idx, weights=c.real, minlength=acc.size)
-            acc.imag += np.bincount(idx, weights=c.imag, minlength=acc.size)
-        keys = np.flatnonzero(np.abs(acc) > PRUNE_TOL)
-        vals = acc[keys]
-    else:
-        merged = [_sum_by_key((x << shift) | z, c) for x, z, c in parts]
-        keys, vals = _sum_by_key(*(np.concatenate(part) for part in zip(*merged)))
-        keep = np.abs(vals) > PRUNE_TOL
-        keys, vals = keys[keep], vals[keep]
-    return _make(n, dict(zip(_decode(keys, n), vals.tolist())))
-
-
-# ---- Kronecker products ---------------------------------------------------
-
-
-def _tensor_codes(factors: Sequence[PauliOperator]) -> _Codes:
-    """Codes of the Kronecker product of single-particle ``factors``, particle 1 first.
-
-    Each factor appends its particle as the new lowest bit of x and z, in one
-    outer step over (term so far, letter).  Coefficients multiply, and every
-    such pair gives its own string, so no two terms share a string.
-    """
-    x = z = np.zeros(1, dtype=np.uint64)
-    c = np.ones(1, dtype=np.complex128)
-    one = np.uint64(1)
-    for factor in factors:
-        if factor.n != 1:
-            raise ValueError("Kronecker factors must be single-particle operators")
-        fx, fz, _, fc = _encode(factor)
-        x = ((x << one)[:, None] | fx[None, :]).ravel()
-        z = ((z << one)[:, None] | fz[None, :]).ravel()
-        c = (c[:, None] * fc[None, :]).ravel()
-    return x, z, c
+    return _summed(a.n, chunks(), min(a.num_terms, rows_per_chunk) * b.num_terms)
 
 
 def tensor(factors: Sequence[PauliOperator]) -> PauliOperator:
     """Kronecker product of single-particle operators, particle 1 first."""
     if not factors:
         raise ValueError("tensor needs at least one factor")
-    return _sum_codes(len(factors), [_tensor_codes(factors)])
+    _check_n(len(factors))
+    keys = np.zeros(1, dtype=np.uint64)
+    coeffs = np.ones(1, dtype=np.complex128)
+    for factor in factors:
+        if factor.n != 1:
+            raise ValueError("Kronecker factors must be single-particle operators")
+        keys = ((keys << np.uint64(2))[:, None] | factor.keys[None, :]).ravel()
+        coeffs = (coeffs[:, None] * factor.coeffs[None, :]).ravel()
+    return _pruned(len(factors), keys, coeffs)
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
@@ -402,15 +400,21 @@ def single_spin_operator(direction: UnitVector3) -> PauliOperator:
     )
 
 
-def embed(op: PauliOperator, particle: int, n: int) -> PauliOperator:
-    """Place a single-particle operator at 1-based ``particle`` of an n-particle register."""
-    if op.n != 1:
-        raise ValueError("embed expects a single-particle operator")
-    if not 1 <= particle <= n:
-        raise ValueError(f"particle index {particle} outside 1..{n}")
-    left = "I" * (particle - 1)
-    right = "I" * (n - particle)
-    return _make(n, {left + s + right: c for s, c in op.terms.items()})
+def embed(op: PauliOperator, particles: Sequence[int], n: int) -> PauliOperator:
+    """Place ``op`` on the 1-based ``particles`` of an n-particle register.
+
+    Particle k of ``op`` goes to ``particles[k - 1]``; every other particle
+    gets the identity.
+    """
+    _check_n(n)
+    if not len(particles) == len(set(particles)) == op.n or not all(0 < p <= n for p in particles):
+        raise ValueError(f"{op.n}-particle operator needs {op.n} distinct particles in 1..{n}")
+    keys = np.zeros(op.num_terms, dtype=np.uint64)
+    for k, p in enumerate(particles):
+        code = (op.keys >> np.uint64(2 * (op.n - 1 - k))) & np.uint64(3)
+        keys |= code << np.uint64(2 * (n - p))
+    order = np.argsort(keys)
+    return _make(n, keys[order], op.coeffs[order])
 
 
 # ---- dense conversion and statevector action ------------------------------
@@ -428,11 +432,17 @@ def _flip_blocks(op: PauliOperator):
     masks (at least one).
     """
     dim = 1 << op.n
-    xs, zs, ys, cs = _encode(op)
-    masks, group = np.unique(xs.astype(np.int64), return_inverse=True)
+    # bit n-1-j of x and z is particle j+1, as in the dense basis index
+    xs = np.zeros(op.num_terms, dtype=np.int64)
+    zs = np.zeros(op.num_terms, dtype=np.int64)
+    for j in range(op.n):
+        code = ((op.keys >> np.uint64(2 * j)) & np.uint64(3)).view(np.int64)
+        xs |= (code >> 1) << j
+        zs |= (code & 1) << j
+    masks, group = np.unique(xs, return_inverse=True)
     order = np.argsort(group, kind="stable")
-    group, zs = group[order], zs[order].astype(np.int64)
-    cs = (cs * _PHASE_ARR[ys & 3])[order]
+    group, zs = group[order], zs[order]
+    cs = (op.coeffs * _PHASE_ARR[_phase_count(op.keys) & 3])[order]
     per_chunk = max(1, _CHUNK_ENTRIES // dim)
     for first in range(0, len(masks), per_chunk):
         last = min(first + per_chunk, len(masks))
@@ -457,11 +467,11 @@ def _walsh_hadamard(rows: np.ndarray) -> None:
         half *= 2
 
 
-def to_dense(op: PauliOperator, limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Dense 2^n x 2^n complex matrix; raises ResourceLimitError above ``limit``."""
-    if op.n > limit:
+def to_dense(op: PauliOperator) -> np.ndarray:
+    """Dense 2^n x 2^n complex matrix; raises ResourceLimitError above ``DENSE_LIMIT``."""
+    if op.n > DENSE_LIMIT:
         raise ResourceLimitError(
-            f"dense conversion needs 2^{op.n} dimensions, limit is 2^{limit}"
+            f"dense conversion needs 2^{op.n} dimensions, limit is 2^{DENSE_LIMIT}"
         )
     dim = 1 << op.n
     idx = np.arange(dim)

@@ -152,7 +152,7 @@ def _lhv_value(family: str, a: tuple[int, ...], ap: tuple[int, ...]) -> int:
     return abs(re + im) if family == "chsh" else abs(im)
 
 
-def lhv_max(n: int, family: str = "mermin", limit: int = LHV_LIMIT) -> LhvResult:
+def lhv_max(n: int, family: str = "mermin") -> LhvResult:
     """Exact classical maximum over all 4^n assignments, by phase counting.
 
     Each factor a_j + i a_j' is sqrt(2) e^(i pi (2 k_j + 1) / 4), so the
@@ -172,8 +172,8 @@ def lhv_max(n: int, family: str = "mermin", limit: int = LHV_LIMIT) -> LhvResult
         raise ValueError("the chsh family is defined for n = 2 only")
     if n < 2:
         raise ValueError("need at least two particles")
-    if n > limit:
-        raise ResourceLimitError(f"lhv maximum for n={n} exceeds limit {limit}")
+    if n > LHV_LIMIT:
+        raise ResourceLimitError(f"lhv maximum for n={n} exceeds limit {LHV_LIMIT}")
 
     # encodings 0..3: (a_1, a_1') = (+,+), (-,+), (+,-), (-,-), all others +1
     rest = (1,) * (n - 1)
@@ -201,7 +201,7 @@ class ViolationRow:
     ratio: int
 
 
-def violation_table(max_n: int, enumeration_limit: int = LHV_LIMIT) -> list[ViolationRow]:
+def violation_table(max_n: int) -> list[ViolationRow]:
     """Rows n = 3..max_n of (classical bound, quantum maximum 2^(n-1), ratio).
 
     The closed-form bound 2^floor(n/2) is cross-checked against ``lhv_max``
@@ -209,14 +209,14 @@ def violation_table(max_n: int, enumeration_limit: int = LHV_LIMIT) -> list[Viol
     """
     if max_n < 3:
         raise ValueError("table needs max_n >= 3")
-    if max_n > enumeration_limit:
+    if max_n > LHV_LIMIT:
         raise ResourceLimitError(
-            f"violation table rows need lhv maxima; max_n={max_n} exceeds {enumeration_limit}"
+            f"violation table rows need lhv maxima; max_n={max_n} exceeds {LHV_LIMIT}"
         )
     rows = []
     for n in range(3, max_n + 1):
         bound = 2 ** (n // 2)
-        classical = lhv_max(n, "mermin", enumeration_limit).max_value
+        classical = lhv_max(n, "mermin").max_value
         if classical != bound:
             raise RuntimeError(f"LHV max {classical} != closed form {bound} at n={n}")
         quantum = 2 ** (n - 1)

@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from merminlab.bell import site_anticommutators, site_commutators
-from merminlab.pauli import PauliOperator, dense_single
+from merminlab.bell import site_commutators
+from merminlab.pauli import PauliOperator, anticommutator, dense_single, embed, single_spin_operator
 from merminlab.settings import PlanarSettings
 from merminlab.spectra import LhvResult
 
@@ -98,6 +98,14 @@ def dense_bell_oracle(settings):
         plus = np.kron(plus, sa + 1j * sb)
         minus = np.kron(minus, sa - 1j * sb)
     return (plus - minus) / 2j
+
+
+def site_anticommutators(settings):
+    """Embedded single-particle anticommutators A_j = {sigma(n_j), sigma(n_j')} = 2 (n_j . n_j') I."""
+    return [
+        embed(anticommutator(single_spin_operator(p.a), single_spin_operator(p.b)), (j + 1,), settings.n)
+        for j, p in enumerate(settings.pairs)
+    ]
 
 
 def _fold_product(ops):

@@ -1,6 +1,7 @@
 """Bell-operator constructors, squared-operator expansions, planar closed forms."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -29,14 +30,19 @@ from merminlab.bell import (
     mermin_square_expansion,
     planar_spectral_max,
     planar_square_diagonal,
-    site_anticommutators,
     site_commutators,
     three_particle_operator,
 )
 from merminlab.pauli import UnitVector3
 from merminlab.spectra import SpectralReport, eigen_hermitian
 
-from conftest import dense_bell_oracle, dense_oracle, perpendicular_base, subset_expansion_oracle
+from conftest import (
+    dense_bell_oracle,
+    dense_oracle,
+    perpendicular_base,
+    site_anticommutators,
+    subset_expansion_oracle,
+)
 
 
 def mermin_literal(settings):
@@ -45,8 +51,8 @@ def mermin_literal(settings):
     plus = PauliOperator.identity(n)
     minus = PauliOperator.identity(n)
     for j, pair in enumerate(settings.pairs):
-        sa = embed(single_spin_operator(pair.a), j + 1, n)
-        sb = embed(single_spin_operator(pair.b), j + 1, n)
+        sa = embed(single_spin_operator(pair.a), (j + 1,), n)
+        sb = embed(single_spin_operator(pair.b), (j + 1,), n)
         plus = plus * (sa + sb.scale(1j))
         minus = minus * (sa + sb.scale(-1j))
     return (plus - minus).scale(-0.5j)
@@ -324,9 +330,9 @@ class TestPlanarClosedForms:
         assert np.max(np.abs(square)) < 1e-9
 
     def test_diagonal_limit_enforced(self):
-        p = PlanarSettings(tuple((0.0, 1.0) for _ in range(6)))
+        p = PlanarSettings(tuple((0.0, 1.0) for _ in range(25)))
         with pytest.raises(ResourceLimitError):
-            planar_square_diagonal(p, limit=5)
+            planar_square_diagonal(p)
 
     def test_max_scales_by_half_per_extra_zero(self):
         # each additional zeroed angle halves the spectral maximum
@@ -404,6 +410,19 @@ class TestMerminSpectrum:
     def test_limit_enforced(self):
         with pytest.raises(ResourceLimitError):
             mermin_spectrum(canonical_settings(25))
+
+    def test_peak_memory_below_three_results(self):
+        # the per-site chains hold as many bytes as the result each, so holding
+        # both at their full length besides it would reach 3x
+        s = random_settings(16, np.random.default_rng(520))
+        mermin_spectrum(s)
+        tracemalloc.start()
+        try:
+            values = mermin_spectrum(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * values.nbytes
 
     @hyp_settings(derandomize=True, database=None, deadline=None)
     @given(_PAIR_ROWS)

@@ -1,12 +1,16 @@
 """End-to-end CLI runs: reports, exit codes, and reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+from merminlab import cli
 from merminlab.settings import PlanarSettings, save_settings
 
 
@@ -315,3 +319,93 @@ class TestGlobalFlags:
         assert proc.returncode == 0
         for sub in ("verify", "table", "reduce", "spectrum", "lhv", "optimize"):
             assert sub in proc.stdout
+
+
+# ---- in-process fuzz over every subcommand --------------------------------
+
+
+def _number(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_JUNK = st.sampled_from(["", "x", "nan", "-inf", "1e400", "0x10", "-0", "--seed"])
+_SEED = st.sampled_from(["0", "7", str(2**64 - 1), str(2**64), "-1"])
+_TOL = st.sampled_from(["0", "1e-10", "1e-20", "1", "-1", "inf", "nan"])
+
+# (required, optional) options per subcommand; sizes stay small enough that
+# one example takes well under a second
+_OPTIONS = {
+    "verify": (
+        {"--trials": _number(-1, 2)},
+        {"--n-min": _number(1, 8), "--n-max": _number(1, 11), "--tol": _TOL},
+    ),
+    "table": ({}, {"--max-n": _number(-1, 40), "--format": st.sampled_from(["csv", "json", "xml"])}),
+    "reduce": ({"--n": _number(-1, 18), "--m": _number(-2, 15)}, {"--tol": _TOL}),
+    "spectrum": ({}, {"--tol": _TOL}),
+    "lhv": ({"--n": _number(-1, 40)}, {"--family": st.sampled_from(["mermin", "chsh", "ghz"])}),
+    "optimize": (
+        {"--n": _number(0, 22)},
+        {
+            "--objective": st.sampled_from(["spectral", "ghz", "other"]),
+            "--restarts": _number(-1, 2),
+            "--max-iters": _number(-1, 40),
+        },
+    ),
+}
+
+_SETTINGS_FILES = {
+    "planar.json": {"n": 3, "planar": [{"phi": 0.0, "phi_prime": 1.5}] * 3},
+    "pairs.json": {"n": 2, "pairs": [{"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}] * 2},
+    "nan.json": {"n": 2, "pairs": [{"a": [1.0, 0.0, 0.0], "b": [0.0, float("nan"), 0.0]}] * 2},
+    "too_big.json": {"n": 13, "planar": [{"phi": 0.0, "phi_prime": 1.5}] * 13},
+    "mismatch.json": {"n": 4, "planar": [{"phi": 0.0, "phi_prime": 1.5}] * 3},
+    "list.json": [1, 2, 3],
+}
+
+
+@pytest.fixture(scope="module")
+def settings_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_settings")
+    for name, data in _SETTINGS_FILES.items():
+        (root / name).write_text(json.dumps(data))
+    (root / "broken.json").write_text('{"n": 3, "planar": [')
+    return root
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand line, at times with one token swapped for junk."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    required, optional = (dict(options) for options in _OPTIONS[command])
+    if command in ("reduce", "spectrum"):
+        names = sorted(_SETTINGS_FILES) + ["broken.json", "missing.json"]
+        settings_file = st.sampled_from(names).map(lambda name: "@" + name)
+        (required if command == "spectrum" else optional)["--settings"] = settings_file
+    chosen = draw(st.fixed_dictionaries(required, optional=optional))
+    argv = [command]
+    for flag, value in chosen.items():
+        argv += [flag, value]
+    argv += draw(st.sampled_from([[], ["--no-timestamp"]]))
+    argv += draw(st.one_of(st.just([]), _SEED.map(lambda seed: ["--seed", seed])))
+    if draw(st.integers(0, 3)) == 0:
+        argv[draw(st.integers(0, len(argv) - 1))] = draw(_JUNK)
+    return argv
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects its input with exit 2
+            code = exc.code
+    return code, err.getvalue()
+
+
+@hyp_settings(derandomize=True, database=None, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exit_codes(settings_dir, argv):
+    argv = [str(settings_dir / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    code, stderr = _run_in_process(argv)
+    assert code in (0, 1, 2, 3), (argv, code, stderr)
+    assert "Traceback" not in stderr, argv

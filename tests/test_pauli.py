@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,7 +118,11 @@ class TestTensor:
         for n in (1, 2, 3, 5):
             factors = [random_operator(1, int(rng.integers(1, 5)), rng) for _ in range(n)]
             want = functools.reduce(np.kron, [self._dense_factor(f) for f in factors])
-            assert np.max(np.abs(dense_oracle(tensor(factors)) - want)) < 1e-12
+            out = tensor(factors)
+            assert np.max(np.abs(dense_oracle(out) - want)) < 1e-12
+            # the chain emits its keys sorted, which coefficient() relies on
+            assert (out.keys[1:] > out.keys[:-1]).all()
+            assert all(out.coefficient(s) == c for s, c in out.terms.items())
 
     def test_zero_factor_gives_zero_operator(self):
         rng = np.random.default_rng(112)
@@ -150,12 +155,13 @@ class TestLetterProductOracle:
             assert (a * b).max_coeff_diff(letter_product_oracle(a, b)) < 1e-12
 
     def test_key_width_limit(self):
-        # (x << n) | z needs 2n bits of a uint64 key
-        op = PauliOperator.identity(33)
+        # a key needs 2n bits of a uint64, so no operator has more than 32 particles
         with pytest.raises(ResourceLimitError):
-            op * op
+            PauliOperator.identity(33)
         with pytest.raises(ResourceLimitError):
-            commutator(op, op)
+            tensor([PauliOperator.identity(1)] * 33)
+        with pytest.raises(ResourceLimitError):
+            embed(PauliOperator.identity(1), (1,), 33)
 
 
 class TestSpinOperators:
@@ -203,22 +209,28 @@ class TestSpinOperators:
 
 class TestEmbedding:
     def test_embed_places_letter(self):
-        op = embed(PauliOperator.from_string("Y", 2.5), 2, 4)
+        op = embed(PauliOperator.from_string("Y", 2.5), (2,), 4)
         assert op.terms == {"IYII": 2.5 + 0j}
+        # particle k of the operator goes to particles[k - 1], in any order
+        op = embed(PauliOperator(2, {"XY": 1.0, "ZI": 2j}), (3, 1), 4)
+        assert op.terms == {"YIXI": 1.0 + 0j, "IIZI": 2j}
+        assert (op.keys[1:] > op.keys[:-1]).all()
 
     def test_embeds_on_distinct_particles_commute_exactly(self):
         rng = np.random.default_rng(11)
-        a = embed(single_spin_operator(random_unit_vector(rng)), 1, 3)
-        b = embed(single_spin_operator(random_unit_vector(rng)), 3, 3)
+        a = embed(single_spin_operator(random_unit_vector(rng)), (1,), 3)
+        b = embed(single_spin_operator(random_unit_vector(rng)), (3,), 3)
         assert commutator(a, b).num_terms == 0
 
     def test_embed_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            embed(PauliOperator.from_string("X"), 0, 3)
+            embed(PauliOperator.from_string("X"), (0,), 3)
         with pytest.raises(ValueError):
-            embed(PauliOperator.from_string("X"), 4, 3)
+            embed(PauliOperator.from_string("X"), (4,), 3)
         with pytest.raises(ValueError):
-            embed(PauliOperator(2, {"XX": 1.0}), 1, 3)
+            embed(PauliOperator(2, {"XX": 1.0}), (1,), 3)
+        with pytest.raises(ValueError):
+            embed(PauliOperator(2, {"XX": 1.0}), (2, 2), 3)
 
 
 def _kernel_case(name):
@@ -278,9 +290,6 @@ class TestDenseAndApply:
     def test_dense_limit_enforced(self):
         with pytest.raises(ResourceLimitError):
             to_dense(PauliOperator.identity(13))
-        # a custom limit tightens the guard
-        with pytest.raises(ResourceLimitError):
-            to_dense(PauliOperator.identity(5), limit=4)
 
     def test_apply_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
@@ -307,10 +316,12 @@ class TestOperatorBasics:
             multiply(PauliOperator.identity(2), PauliOperator.identity(3))
 
     def test_bad_strings_rejected(self):
-        with pytest.raises(ValueError):
-            PauliOperator(2, {"XQ": 1.0})
-        with pytest.raises(ValueError):
-            PauliOperator(2, {"XXX": 1.0})
+        for bad in ["XQ", "XXX", "X", "X\u00e9", "xX", "X?", "I\x00"]:
+            # the error names the bad string even among good ones
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                PauliOperator(2, {"XY": 1.0, bad: 2.0, "ZZ": 3.0})
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                PauliOperator(2, {"XY": 1.0}).coefficient(bad)
         with pytest.raises(ValueError):
             PauliOperator(0, {})
 
@@ -328,6 +339,45 @@ class TestOperatorBasics:
         assert a.max_coeff_diff(c) == c.max_coeff_diff(a) == 3.0
         assert c.max_coeff_diff(PauliOperator(1, {"X": -2.5, "Z": 3.0})) == 4.0
         assert PauliOperator.zero(1).max_coeff_diff(PauliOperator.zero(1)) == 0.0
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(0.0, -math.inf)]
+    )
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PauliOperator(2, {"XX": bad})
+        with pytest.raises(ValueError):
+            PauliOperator(2, {"XX": 1.0}).scale(bad)
+        with pytest.raises(ValueError):
+            PauliOperator(2, {"XX": 1.0}) * bad
+
+
+_TINY = st.sampled_from([0.0, 1e-14, -1e-13, 1e-13j, complex(1e-13, 1e-13)])
+
+
+@st.composite
+def _term_dicts(draw):
+    n = draw(st.integers(1, 6))
+    strings = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    coeffs = st.one_of(
+        _TINY, st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+    )
+    return n, draw(st.dictionaries(strings, coeffs, max_size=20))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_term_dicts())
+def test_terms_round_trip(case):
+    # dict -> PauliOperator -> terms gives back the dict without its pruned terms
+    n, terms = case
+    op = PauliOperator(n, terms)
+    pruned = {s: complex(c) for s, c in terms.items() if abs(complex(c)) > pauli.PRUNE_TOL}
+    assert op.terms == pruned
+    assert op.num_terms == len(pruned)
+    assert all(op.coefficient(s) == complex(c) for s, c in pruned.items())
+    assert PauliOperator(n, op.terms).max_coeff_diff(op) == 0.0
 
 
 class TestUnitVector:

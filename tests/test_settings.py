@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from merminlab.pauli import UnitVector3
 from merminlab.settings import (
@@ -180,3 +181,27 @@ def test_missing_entry_key_is_named(data, message):
     with pytest.raises(ValueError) as excinfo:
         settings_from_json(data)
     assert str(excinfo.value) == message
+
+
+_ANGLES = st.floats(-10.0, 10.0, allow_nan=False)
+_COMPONENTS = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3).filter(
+    lambda v: math.hypot(*v) > 0.1
+)
+
+
+@hyp_settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(_ANGLES, _ANGLES), min_size=2, max_size=8))
+def test_planar_json_text_round_trip(rows):
+    p = PlanarSettings(tuple(rows))
+    loaded = settings_from_json(json.loads(json.dumps(settings_to_json(p))))
+    assert isinstance(loaded, PlanarSettings) and loaded == p
+
+
+@hyp_settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(_COMPONENTS, _COMPONENTS), min_size=2, max_size=8))
+def test_pairs_json_text_round_trip(rows):
+    ms = MeasurementSettings(
+        tuple(SettingPair(UnitVector3.normalized(*a), UnitVector3.normalized(*b)) for a, b in rows)
+    )
+    loaded = settings_from_json(json.loads(json.dumps(settings_to_json(ms))))
+    assert isinstance(loaded, MeasurementSettings) and loaded == ms
