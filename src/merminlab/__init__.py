@@ -59,7 +59,6 @@ from .spectra import (
     LhvResult,
     SpectralReport,
     ViolationRow,
-    degeneracy_pairing,
     eigen_hermitian,
     expectation,
     ghz_state,

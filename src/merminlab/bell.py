@@ -31,13 +31,15 @@ since the two chains agree on the products of an even number of h_j and
 cancel on the rest, so the expansion takes two chains of n Kronecker steps
 instead of C(n, 2k) subset products per group.
 
-The spectrum of B has a closed form for any settings.  sigma_j and sigma_j'
-both anticommute with w_j . sigma, where w_j = n_j x n_j' and C_j = 2i w_j . sigma,
-so in the product basis |s>, s in {+-1}^n, of the w_j . sigma eigenstates, P
-and Pbar map each |s> to |-s>:
+The spectrum of B reads one number per particle, the included angle theta_j
+in [0, pi] of (n_j, n_j').  A rotation, which conjugates sigma by a local
+SU(2), takes n_j to x and n_j' to (cos theta_j, -sin theta_j, 0); there
+C_j = -2i sin(theta_j) Z_j and sigma_j +- i sigma_j' flip Z_j, so in the Z
+product basis |s>, s in {+-1}^n, P and Pbar map each |s> to |-s>:
 
     P |s> = prod_j alpha_j(s_j) |-s>,   Pbar |s> = prod_j beta_j(s_j) |-s>,
-    alpha_j(s), beta_j(s) = <-s| sigma_j +- i sigma_j' |s>.
+    alpha_j(s) = 1 + s sin theta_j + i cos theta_j,
+    beta_j(s) = 1 - s sin theta_j - i cos theta_j.
 
 B therefore maps span{|s>, |-s>} into itself with zero diagonal, and, being
 Hermitian, has the eigenvalues +-|prod_j alpha_j(s_j) - prod_j beta_j(s_j)| / 2
@@ -67,7 +69,7 @@ from .pauli import (
     sum_operators,
     tensor,
 )
-from .settings import MeasurementSettings, PlanarSettings, SettingPair
+from .settings import AnySettings, MeasurementSettings, PlanarSettings, SettingPair
 
 
 def site_spin_operators(
@@ -263,41 +265,31 @@ def mermin_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
 #: kron chains double per particle; 2^24 entries is the ceiling
 PLANAR_DIAGONAL_LIMIT = 24
 
-_PAULI_XYZ = np.array(
-    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128
-)
+
+def _site_amplitudes(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """alpha(s), beta(s) = 1 +- (s |sin theta| + i cos theta) for s = +1, -1;
+    cos and |sin| of any planar theta_j are those of its angle in [0, pi]."""
+    c, s = math.cos(theta), abs(math.sin(theta))
+    return (
+        np.array([complex(1.0 + s, c), complex(1.0 - s, c)]),
+        np.array([complex(1.0 - s, -c), complex(1.0 + s, -c)]),
+    )
 
 
-def _site_amplitudes(pair: SettingPair) -> tuple[np.ndarray, np.ndarray]:
-    """alpha(s), beta(s) = <-s| sigma_j +- i sigma_j' |s> for s = -1, +1 (eigh order)."""
-    a = np.array([pair.a.x, pair.a.y, pair.a.z])
-    b = np.array([pair.b.x, pair.b.y, pair.b.z])
-    # a x (b -+ a) is a x b, but the difference is exact for a nearly
-    # (anti)parallel pair, so w keeps its direction as |w| goes to 0
-    w = np.cross(a, b - a if pair.a.dot(pair.b) >= 0.0 else b + a)
-    if not w.any():
-        # n_j' = +-n_j: every axis perpendicular to n_j anticommutes with both
-        w = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
-    _, basis = np.linalg.eigh(np.tensordot(w / math.hypot(*w), _PAULI_XYZ, 1))
-    first, second = (basis.conj().T @ np.tensordot(v, _PAULI_XYZ, 1) @ basis for v in (a, b))
-    flip = ([1, 0], [0, 1])  # column s, row -s
-    return (first + 1j * second)[flip], (first - 1j * second)[flip]
-
-
-def mermin_spectrum(settings: MeasurementSettings) -> np.ndarray:
+def mermin_spectrum(settings: AnySettings) -> np.ndarray:
     """All 2^n eigenvalues of B in ascending order, without a dense matrix.
 
-    Each pair {|s>, |-s>} of w_j eigenstates contributes
+    Each pair {|s>, |-s>} of Z product states contributes
     +-|prod_j alpha_j(s_j) - prod_j beta_j(s_j)| / 2 (see the module
     docstring); the two products are Kronecker chains of per-site 2-vectors
-    over the states with s_1 = -1, one from each pair.
+    over the states with s_1 = +1, one from each pair.
     """
     n = settings.n
     if n > PLANAR_DIAGONAL_LIMIT:
         raise ResourceLimitError(
             f"closed-form spectrum for n={n} exceeds limit {PLANAR_DIAGONAL_LIMIT}"
         )
-    (plus, minus), *rest = (_site_amplitudes(pair) for pair in settings.pairs)
+    (plus, minus), *rest = (_site_amplitudes(theta) for theta in settings.included_angles)
     plus, minus = plus[:1], minus[:1]
     *rest, (alpha, beta) = rest
     for a, b in rest:

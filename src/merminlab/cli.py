@@ -40,11 +40,13 @@ from .bell import (
     default_reduction_spec,
     mermin_operator,
     mermin_spectrum,
+    mermin_square,
     mermin_square_expansion,
     planar_square_diagonal,
     reduction_check,
+    spectral_max_of_included_angles,
 )
-from .spectra import SpectralReport, degeneracy_pairing, lhv_max, violation_table
+from .spectra import SpectralReport, lhv_max, violation_table
 from .optimize import OptimizeConfig, optimize_angles, quantum_ceiling
 
 EXIT_PASS = 0
@@ -106,13 +108,11 @@ class _CheckList:
 
 
 def _planar_dense_residual(planar: PlanarSettings) -> float:
-    """Closed-form diagonal vs the dense square: entrywise and off-diagonal."""
-    closed = planar_square_diagonal(planar)
-    dense = to_dense(mermin_operator(planar.to_measurement_settings()))
-    square = dense @ dense
-    diag_err = float(np.max(np.abs(np.diag(square).real - closed)))
-    off = square - np.diag(np.diag(square))
-    return max(diag_err, float(np.max(np.abs(off))))
+    """Closed-form diagonal vs the dense factored square: entrywise and off-diagonal."""
+    square = to_dense(mermin_square(planar.to_measurement_settings()))
+    idx = np.arange(len(square))
+    square[idx, idx] -= planar_square_diagonal(planar)
+    return float(np.max(np.abs(square)))
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -290,16 +290,16 @@ def _parseval_residual(eigenvalues: np.ndarray, op: PauliOperator) -> float:
 
 
 def cmd_spectrum(args) -> tuple[dict, int]:
-    loaded = load_settings(args.settings)
-    planar = loaded if isinstance(loaded, PlanarSettings) else None
-    measurement = (
-        loaded if isinstance(loaded, MeasurementSettings) else loaded.to_measurement_settings()
-    )
-    n = measurement.n
+    settings = load_settings(args.settings)
+    n = settings.n
     if n > SPECTRUM_LIMIT:
         raise ResourceLimitError(f"spectrum for n={n} exceeds limit {SPECTRUM_LIMIT}")
+    measurement = (
+        settings if isinstance(settings, MeasurementSettings) else settings.to_measurement_settings()
+    )
     op = mermin_operator(measurement)
-    spectral = SpectralReport.from_eigenvalues(mermin_spectrum(measurement))
+    spectral = SpectralReport.from_eigenvalues(mermin_spectrum(settings))
+    closed_form = spectral_max_of_included_angles(settings.included_angles)
 
     checks = _CheckList(include_times=not args.no_timestamp)
     checks.run(
@@ -309,12 +309,13 @@ def cmd_spectrum(args) -> tuple[dict, int]:
         args.tol,
         lambda: _parseval_residual(spectral.eigenvalues, op),
     )
-    planar_block = None
-    if planar is not None:
-        planar_block = {
-            "degeneracy_paired": bool(degeneracy_pairing(planar)),
-            "spectral_max_squared": float(np.max(planar_square_diagonal(planar))),
-        }
+    checks.run(
+        "spectral_max_closed_form",
+        n,
+        1,
+        args.tol,
+        lambda: abs(spectral.max_abs**2 - closed_form) / max(1.0, closed_form),
+    )
 
     report = _base_report(
         "spectrum", {"settings": args.settings, "tol": args.tol}, args
@@ -323,8 +324,6 @@ def cmd_spectrum(args) -> tuple[dict, int]:
     report["num_terms"] = op.num_terms
     report["max_abs_eigenvalue"] = spectral.max_abs
     report["clusters"] = [[value, count] for value, count in spectral.clusters]
-    if planar_block is not None:
-        report["planar"] = planar_block
     report["checks"] = checks.entries
     report["overall_pass"] = checks.all_passed
     return report, EXIT_PASS if checks.all_passed else EXIT_FAIL

@@ -303,7 +303,7 @@ def _summed(n: int, parts: Iterable[tuple[np.ndarray, np.ndarray]], size: int) -
     """The operator summing the (keys, coefficients) parts, the coefficients
     under a key added in input order.  ``size`` entries held at once (all
     parts of a sum, one chunk of a product) fill 4^n bins indexed by key when
-    size >= 4^n, so the bins never outgrow them; fewer are merged by sorting."""
+    size >= 4^n, so the bins never outgrow them; fewer are merged by one sort."""
     if size >= 1 << (2 * n):
         acc = np.zeros(1 << (2 * n), dtype=np.complex128)
         for keys, coeffs in parts:
@@ -312,10 +312,7 @@ def _summed(n: int, parts: Iterable[tuple[np.ndarray, np.ndarray]], size: int) -
             acc.imag += np.bincount(idx, weights=coeffs.imag, minlength=acc.size)
         keys = np.flatnonzero(np.abs(acc) > PRUNE_TOL)
         return _make(n, keys.view(np.uint64), acc[keys])
-    merged = [_merged(keys, coeffs) for keys, coeffs in parts]
-    if len(merged) > 1:
-        merged = [_merged(*(np.concatenate(part) for part in zip(*merged)))]
-    return _pruned(n, *merged[0])
+    return _pruned(n, *_merged(*(np.concatenate(part) for part in zip(*parts))))
 
 
 def sum_operators(ops: Sequence[PauliOperator]) -> PauliOperator:
@@ -360,7 +357,11 @@ def _product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
             coeffs = a.coeffs[sl, None] * b.coeffs[None, :] * _PHASE_ARR[exponent]
             yield keys.ravel(), coeffs.ravel()
 
-    return _summed(a.n, chunks(), min(a.num_terms, rows_per_chunk) * b.num_terms)
+    size = min(a.num_terms, rows_per_chunk) * b.num_terms
+    if a.num_terms > rows_per_chunk and size < 1 << (2 * a.n):
+        # several chunks bound for the sort: each is merged first, so all pairs are never held
+        return _summed(a.n, (_merged(k, c) for k, c in chunks()), size)
+    return _summed(a.n, chunks(), size)
 
 
 def tensor(factors: Sequence[PauliOperator]) -> PauliOperator:

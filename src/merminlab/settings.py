@@ -5,8 +5,8 @@ forms exist:
 
 * ``MeasurementSettings`` — arbitrary unit vectors per particle;
 * ``PlanarSettings`` — directions confined to the x-y plane, stored as
-  azimuth pairs (phi_j, phi_j') in radians.  The included angle
-  theta_j = phi_j' - phi_j drives every planar closed form.
+  azimuth pairs (phi_j, phi_j') in radians.  Either form's included angles
+  theta_j alone fix B's spectrum.
 
 File format (radians, plain JSON)::
 
@@ -59,6 +59,19 @@ class MeasurementSettings:
     @property
     def n(self) -> int:
         return len(self.pairs)
+
+    @property
+    def included_angles(self) -> tuple[float, ...]:
+        """theta_j = atan2(|n_j x n_j'|, n_j . n_j') in [0, pi] for each particle.
+
+        n_j x n_j' is taken as n_j x (n_j' -+ n_j): for a nearly (anti)parallel
+        pair the difference is exact, so a tiny sine keeps its full precision.
+        """
+        a = np.array([[p.a.x, p.a.y, p.a.z] for p in self.pairs])
+        b = np.array([[p.b.x, p.b.y, p.b.z] for p in self.pairs])
+        dots = np.einsum("ij,ij->i", a, b)
+        cross = np.cross(a, b - np.where(dots >= 0.0, 1.0, -1.0)[:, None] * a)
+        return tuple(np.arctan2(np.linalg.norm(cross, axis=1), dots).tolist())
 
     def subset(self, particles: tuple[int, ...]) -> "MeasurementSettings":
         """Settings restricted to the given 1-based particles, order preserved."""

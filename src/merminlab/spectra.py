@@ -1,8 +1,8 @@
 """Spectra of Bell operators, GHZ eigenvectors, and classical (LHV) maxima.
 
-Dense eigensolves go through numpy's Hermitian solver; statevectors are plain
-complex arrays of length 2^n in the package's basis convention (particle 1 =
-most significant bit, bit 0 = spin-up).
+B's spectrum comes in closed form from ``bell.mermin_spectrum``; the dense
+``eigen_hermitian`` is its check.  Statevectors are complex arrays of length
+2^n (particle 1 = most significant bit, bit 0 = spin-up).
 
 The classical side maximizes over deterministic local-hidden-variable
 assignments a_j, a_j' in {+1, -1}: the n-particle Bell value of one assignment
@@ -21,7 +21,7 @@ import numpy as np
 
 from .pauli import PauliOperator, ResourceLimitError, apply_operator
 from .settings import PlanarSettings
-from .bell import mermin_operator, planar_square_diagonal
+from .bell import mermin_operator
 
 #: largest n for lhv_max and violation_table: a witness encoding holds 2n
 #: bits, and n = 31 keeps it inside a signed 64-bit integer
@@ -110,16 +110,6 @@ def maximal_eigenvector_check(planar: PlanarSettings, sign: int = 1) -> float:
     state = ghz_state(n, sign, phase)
     residual = apply_operator(op, state) - float(sign * 2 ** (n - 1)) * state
     return float(np.linalg.norm(residual))
-
-
-def degeneracy_pairing(planar: PlanarSettings, tol: float = 1e-10) -> bool:
-    """True iff the planar B^2 diagonal is invariant under flipping every spin.
-
-    Complementing the basis index reverses the diagonal array, so the check is
-    a comparison against its own reversal.
-    """
-    diag = planar_square_diagonal(planar)
-    return float(np.max(np.abs(diag - diag[::-1]))) <= tol
 
 
 # ---- classical (local-hidden-variable) maxima -----------------------------

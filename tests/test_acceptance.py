@@ -16,13 +16,13 @@ from merminlab.bell import (
     chsh_operator,
     chsh_square_expansion,
     default_reduction_spec,
+    mermin_square,
     mermin_square_expansion,
     planar_square_diagonal,
     reduction_check,
     three_particle_operator,
 )
 from merminlab.spectra import (
-    degeneracy_pairing,
     eigen_hermitian,
     lhv_max,
     maximal_eigenvector_check,
@@ -159,16 +159,22 @@ def test_06_eigenvector_claims():
         ok_spectrum = ok_spectrum and values.get(top) == 1 and values.get(-top) == 1
         ok_spectrum = ok_spectrum and values.get(0.0) == (1 << n) - 2
 
-    ok_pairing = all(
-        degeneracy_pairing(random_planar(n, rng))
-        for n in range(3, 7)
-        for _ in range(20)
-    )
+    # flipping every spin (X on each particle) negates the Y and Z letters, so
+    # a flip-symmetric planar B^2 has no string with an odd count of them
+    worst_odd = 0.0
+    for n in range(3, 7):
+        for _ in range(20):
+            square = mermin_square(random_planar(n, rng).to_measurement_settings())
+            for string, coeff in square.terms.items():
+                if (string.count("Y") + string.count("Z")) % 2:
+                    worst_odd = max(worst_odd, abs(coeff))
+    ok_flip = worst_odd <= 1e-10
     verdict(
         "maximal eigenvector phase rule, extremal spectrum, spin-flip degeneracy",
-        ok_eigvec and ok_spectrum and ok_pairing,
+        ok_eigvec and ok_spectrum and ok_flip,
         f"max eigenvector residual {worst_eigvec:.2e} < 1e-9; spectrum "
-        f"{{+-2^(n-1) x1, 0 x(2^n-2)}} and 20x degeneracy pairing per n hold",
+        f"{{+-2^(n-1) x1, 0 x(2^n-2)}} holds; odd-weight coefficient of planar "
+        f"B^2 {worst_odd:.2e} <= 1e-10 over 20 settings per n",
     )
 
 

@@ -385,8 +385,8 @@ class TestMerminSpectrum:
             assert abs(spectrum[0] + 2 ** (n - 1)) < 1e-9 * 2 ** (n - 1)
 
     def test_nearly_parallel_pairs(self):
-        # n_j' a few ulps off n_j: w_j from the plain cross product a x b
-        # points the wrong way by up to 1e-2 here and the spectrum is off by 0.1
+        # n_j' a few ulps off n_j: tiny sines, of which only the size enters
+        # the spectrum (an earlier per-site basis also needed their direction)
         rng = np.random.default_rng(540)
         for eps in (1e-12, 1e-14, 1e-15):
             near = []
@@ -430,3 +430,17 @@ class TestMerminSpectrum:
         s = _settings_from_rows(rows)
         want = np.linalg.eigvalsh(dense_oracle(mermin_operator(s)))
         assert np.max(np.abs(mermin_spectrum(s) - want)) < 1e-10
+
+
+class TestRotationInvariance:
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_pairs_match_planar_at_the_same_dot_products(self, n):
+        # a rotation takes each pair into the x-y plane, so B's spectrum
+        # depends on theta_j = arccos(n_j . n_j') alone
+        rng = np.random.default_rng(560 + n)
+        for _ in range(3):
+            s = random_settings(n, rng)
+            planar = PlanarSettings(tuple((0.0, math.acos(p.a.dot(p.b))) for p in s.pairs))
+            want = mermin_spectrum(planar)
+            got = mermin_spectrum(s)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -7,11 +7,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from merminlab import cli
-from merminlab.settings import PlanarSettings, save_settings
+from merminlab.settings import PlanarSettings, random_settings, save_settings
 
 
 def run_cli(*args):
@@ -173,7 +174,10 @@ class TestSpectrum:
         assert report["n"] == 3
         assert report["max_abs_eigenvalue"] == pytest.approx(4.0)
         assert report["clusters"] == [[-4.0, 1], [0.0, 6], [4.0, 1]]
-        assert report["planar"]["degeneracy_paired"] is True
+        assert "planar" not in report
+        entry = next(c for c in report["checks"] if c["name"] == "spectral_max_closed_form")
+        assert entry["pass"] is True
+        assert entry["max_residual"] <= 1e-12
 
     def test_pairs_file(self, tmp_path):
         path = tmp_path / "pairs.json"
@@ -188,6 +192,18 @@ class TestSpectrum:
         report, code = run_json("spectrum", "--settings", str(path))
         assert code == 0
         assert report["max_abs_eigenvalue"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_random_pairs_file_meets_closed_form_max(self, tmp_path, n):
+        # max |eigenvalue|^2 against the sine closed form, even-n closing term included
+        path = tmp_path / "pairs.json"
+        save_settings(path, random_settings(n, np.random.default_rng(70 + n)))
+        report, code = run_json("spectrum", "--settings", str(path))
+        assert code == 0
+        names = [c["name"] for c in report["checks"]]
+        assert names == ["parseval_sum_of_squares", "spectral_max_closed_form"]
+        assert all(c["pass"] for c in report["checks"])
+        assert report["checks"][1]["max_residual"] <= 1e-12
 
     def test_resource_limit(self, tmp_path):
         path = tmp_path / "planar.json"

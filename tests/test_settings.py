@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from merminlab.settings import (
     load_settings,
     random_planar,
     random_settings,
+    random_unit_vector,
     save_settings,
     settings_from_json,
     settings_to_json,
@@ -26,6 +28,55 @@ def test_planar_included_angles():
     p = PlanarSettings(((0.0, math.pi / 2), (0.25, 1.0)))
     assert p.n == 2
     assert p.included_angles == (math.pi / 2, 0.75)
+
+
+def _included_angle(a, b):
+    return MeasurementSettings((SettingPair(a, b), SettingPair(a, a))).included_angles[0]
+
+
+class TestMeasurementIncludedAngles:
+    def test_parallel_antiparallel_perpendicular(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a, r = random_unit_vector(rng), random_unit_vector(rng)
+            b = UnitVector3.normalized(
+                a.y * r.z - a.z * r.y, a.z * r.x - a.x * r.z, a.x * r.y - a.y * r.x
+            )
+            assert _included_angle(a, a) == 0.0
+            assert _included_angle(a, a.flipped()) == math.pi
+            assert abs(_included_angle(a, b) - math.pi / 2) < 1e-15
+        x, y = UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0)
+        assert _included_angle(x, y) == math.pi / 2
+
+    def test_matches_planar_included_angles(self):
+        rng = np.random.default_rng(12)
+        p = random_planar(6, rng)
+        got = p.to_measurement_settings().included_angles
+        want = [abs(wrap_angle(t)) for t in p.included_angles]
+        assert np.max(np.abs(np.array(got) - want)) < 1e-14
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-14, 1e-15])
+    def test_pairs_a_few_ulps_apart(self, eps):
+        # reference: atan2 of the exact cross product and dot product of the
+        # stored components; the plain float cross product is off by ~20 % at 1e-15
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            a, r = random_unit_vector(rng), random_unit_vector(rng)
+            b = UnitVector3.normalized(a.x + eps * r.x, a.y + eps * r.y, a.z + eps * r.z)
+            (ax, ay, az), (bx, by, bz) = (
+                [Decimal(v) for v in (u.x, u.y, u.z)] for u in (a, b)
+            )
+            with localcontext() as ctx:
+                ctx.prec = 50
+                cross = (
+                    (ay * bz - az * by) ** 2 + (az * bx - ax * bz) ** 2 + (ax * by - ay * bx) ** 2
+                ).sqrt()
+                dot = ax * bx + ay * by + az * bz
+            want = math.atan2(float(cross), float(dot))
+            theta = _included_angle(a, b)
+            assert 0.0 < theta < 10 * eps
+            assert abs(theta - want) <= 1e-12 * want
+            assert math.pi - _included_angle(a, b.flipped()) < 10 * eps
 
 
 def test_planar_to_measurement_settings_vectors():
