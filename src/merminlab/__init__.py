@@ -52,14 +52,12 @@ from .bell import (
     planar_spectral_max,
     planar_square_diagonal,
     reduction_check,
-    site_commutators,
     three_particle_operator,
 )
 from .spectra import (
     LhvResult,
     SpectralReport,
     ViolationRow,
-    eigen_hermitian,
     expectation,
     ghz_state,
     lhv_max,

@@ -20,10 +20,14 @@ P's coefficients.  The square is
 
     B^2 = -(1/4) (P^2 + Pbar^2 - P Pbar - Pbar P),
 
-and each of the four products is the Kronecker product of 2x2 products, so the
-direct square costs O(4^n) instead of the O(9^n) of squaring the 3^n terms of
-B.  The inner sums are elementary symmetric polynomials e_2k(C_1, ..., C_n) of
-commuting operators on distinct particles: with h_j = (i/2) C_j,
+and each of the four products is a Kronecker chain of per-site products
+read off sigma(u) sigma(v) = (u . v) I + i (u x v) . sigma for complex
+u, v in {n_j +- i n_j'}: P^2 has the factors 2i (n_j . n_j') I and P Pbar
+the factors 2 I + 2 (n_j x n_j') . sigma.  So the direct square costs O(4^n)
+instead of the O(9^n) of squaring the 3^n terms of B.  The inner sums are
+elementary symmetric polynomials e_2k(C_1, ..., C_n) of commuting operators
+on distinct particles, C_j = 2i (n_j x n_j') . sigma: with
+h_j = (i/2) C_j = -(n_j x n_j') . sigma,
 
     sum_k (-1/4)^k e_2k = ((x)_j (I + h_j) + (x)_j (I - h_j)) / 2,
 
@@ -63,7 +67,6 @@ from .pauli import (
     PauliOperator,
     ResourceLimitError,
     UnitVector3,
-    commutator,
     embed,
     single_spin_operator,
     sum_operators,
@@ -88,21 +91,15 @@ def site_spin_operators(
     return first, second
 
 
-def site_commutators(settings: MeasurementSettings) -> list[PauliOperator]:
-    """Embedded single-particle commutators C_j = [sigma(n_j), sigma(n_j')]."""
-    n = settings.n
-    return [
-        embed(commutator(single_spin_operator(pair.a), single_spin_operator(pair.b)), (j + 1,), n)
-        for j, pair in enumerate(settings.pairs)
-    ]
+def _rows(scalars, vectors: np.ndarray) -> np.ndarray:
+    """``tensor`` rows of s_j I + w_j . sigma, site j in row j - 1: columns I, Z, X, Y."""
+    return np.column_stack((np.broadcast_to(scalars, len(vectors)), vectors[:, [2, 0, 1]]))
 
 
-def _site_factors(settings: MeasurementSettings, sign: complex) -> list[PauliOperator]:
-    """Single-particle sigma(n_j) + sign sigma(n_j') for every particle (sign = +-i)."""
-    return [
-        single_spin_operator(pair.a) + single_spin_operator(pair.b).scale(sign)
-        for pair in settings.pairs
-    ]
+def _spin_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``tensor`` rows of sigma(u_j) sigma(v_j) = (u_j . v_j) I + i (u_j x v_j) . sigma
+    for (n, 3) complex direction arrays u and v."""
+    return _rows(np.einsum("ij,ij->i", u, v), 1j * np.cross(u, v))
 
 
 # ---- operator constructors ------------------------------------------------
@@ -132,7 +129,8 @@ def mermin_operator(settings: MeasurementSettings) -> PauliOperator:
     product's coefficients: one Kronecker chain.  A test rebuilds the literal
     two-product form through the general multiply and checks agreement.
     """
-    return tensor(_site_factors(settings, 1j)).imaginary_part()
+    a, b = settings.direction_arrays()
+    return tensor(_rows(0.0, a + 1j * b)).imaginary_part()
 
 
 def canonical_mermin(n: int) -> PauliOperator:
@@ -178,13 +176,14 @@ def _factored_square(
     """(alpha P + beta Pbar)^2 for P = (x)_j (sigma_j + i sigma_j') and its partner Pbar.
 
     The square is alpha^2 P^2 + beta^2 Pbar^2 + alpha beta (P Pbar + Pbar P),
-    and each of the four products is the Kronecker product of one-particle
-    products, so no product spans more than one particle.
+    and each of the four products is a Kronecker chain of per-site spin
+    products in closed form (see the module docstring).
     """
-    plus, minus = _site_factors(settings, 1j), _site_factors(settings, -1j)
+    a, b = settings.direction_arrays()
+    plus, minus = a + 1j * b, a - 1j * b
     return sum_operators(
         [
-            tensor([f * g for f, g in zip(left, right)]).scale(weight)
+            tensor(_spin_products(left, right)).scale(weight)
             for weight, left, right in (
                 (alpha * alpha, plus, plus),
                 (beta * beta, minus, minus),
@@ -212,8 +211,9 @@ def chsh_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
     """
     if settings.n != 2:
         raise ValueError("chsh_square_expansion needs exactly two particles")
-    c1, c2 = site_commutators(settings)
-    expansion = PauliOperator.identity(2, 4.0) - c1 * c2
+    a, b = settings.direction_arrays()
+    # C1 C2 is the chain of C_j = 2i (n_j x n_j') . sigma
+    expansion = PauliOperator.identity(2, 4.0) - tensor(_rows(0.0, 2j * np.cross(a, b)))
     return ExpansionReport(
         n=2,
         expansion=expansion,
@@ -233,20 +233,20 @@ def mermin_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
     n = settings.n
     if n < 3:
         raise ValueError("mermin_square_expansion needs n >= 3 (use chsh_square_expansion)")
-    identity = PauliOperator.identity(1)
-    halves = [
-        commutator(single_spin_operator(pair.a), single_spin_operator(pair.b)).scale(0.5j)
-        for pair in settings.pairs
-    ]
+    a, b = settings.direction_arrays()
+    cross = np.cross(a, b)
     parts = []
-    for first, *rest in ([identity + h for h in halves], [identity - h for h in halves]):
-        # 2^(n-1) rides on the first factor, so each chain is pruned at full scale
-        parts.append(tensor([first.scale(2.0 ** (n - 1)), *rest]))
+    # I + h_j and I - h_j, h_j = -(n_j x n_j') . sigma
+    for w in (-cross, cross):
+        rows = _rows(1.0, w)
+        # 2^(n-1) rides on the first site, so each chain is pruned at full scale
+        rows[0] *= 2.0 ** (n - 1)
+        parts.append(tensor(rows))
     final_term_count = 0
     if n % 2 == 0:
         # the rest of the closing term: -(-1)^(n/2) (1/2) prod_j A_j, A_j = 2 (n_j . n_j') I,
         # doubled because the sum is halved
-        anticommutators = math.prod(2.0 * pair.a.dot(pair.b) for pair in settings.pairs)
+        anticommutators = float(np.prod(2.0 * np.einsum("ij,ij->i", a, b)))
         parts.append(PauliOperator.identity(n, -(-1) ** (n // 2) * anticommutators))
         final_term_count = 2
     expansion = sum_operators(parts).scale(0.5)

@@ -22,7 +22,7 @@ appear only where a caller reads or writes them: the dict constructor,
 ``coefficient``, ``repr`` and the derived ``terms`` mapping.  Products XOR
 keys and read their phase off bit-plane popcounts; sums add equal keys in
 4^n bins or merge them by sorting (``_summed``); a Kronecker chain of
-single-particle factors (``tensor``) appends two bits per factor and comes
+per-site coefficient rows (``tensor``) appends two bits per site and comes
 out sorted and free of repeats; dense conversion and statevector action
 share one Walsh-Hadamard kernel (``_flip_blocks``).
 
@@ -364,19 +364,28 @@ def _product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return _summed(a.n, chunks(), size)
 
 
-def tensor(factors: Sequence[PauliOperator]) -> PauliOperator:
-    """Kronecker product of single-particle operators, particle 1 first."""
-    if not factors:
-        raise ValueError("tensor needs at least one factor")
-    _check_n(len(factors))
+def tensor(sites: np.ndarray) -> PauliOperator:
+    """Kronecker product of single-particle operators, particle 1 first.
+
+    Row j of the (n, 4) array ``sites`` holds particle j + 1's coefficients
+    of I, Z, X, Y: column k is letter code k.  Entries at or below
+    ``PRUNE_TOL`` are dropped before chaining, as a single-particle operator
+    would drop them.
+    """
+    sites = np.asarray(sites, dtype=np.complex128)
+    if sites.ndim != 2 or sites.shape[1] != 4 or not len(sites):
+        raise ValueError(f"tensor needs an (n, 4) array of site coefficients, got {sites.shape}")
+    if not np.isfinite(sites).all():
+        raise ValueError("site coefficients must be finite")
+    _check_n(len(sites))
+    codes = np.arange(4, dtype=np.uint64)
     keys = np.zeros(1, dtype=np.uint64)
     coeffs = np.ones(1, dtype=np.complex128)
-    for factor in factors:
-        if factor.n != 1:
-            raise ValueError("Kronecker factors must be single-particle operators")
-        keys = ((keys << np.uint64(2))[:, None] | factor.keys[None, :]).ravel()
-        coeffs = (coeffs[:, None] * factor.coeffs[None, :]).ravel()
-    return _pruned(len(factors), keys, coeffs)
+    for row in sites:
+        keep = np.abs(row) > PRUNE_TOL
+        keys = ((keys << np.uint64(2))[:, None] | codes[keep]).ravel()
+        coeffs = (coeffs[:, None] * row[keep]).ravel()
+    return _pruned(len(sites), keys, coeffs)
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:

@@ -60,6 +60,13 @@ class MeasurementSettings:
     def n(self) -> int:
         return len(self.pairs)
 
+    def direction_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, 3) arrays of the n_j and of the n_j', particle j in row j - 1."""
+        return (
+            np.array([[p.a.x, p.a.y, p.a.z] for p in self.pairs]),
+            np.array([[p.b.x, p.b.y, p.b.z] for p in self.pairs]),
+        )
+
     @property
     def included_angles(self) -> tuple[float, ...]:
         """theta_j = atan2(|n_j x n_j'|, n_j . n_j') in [0, pi] for each particle.
@@ -67,14 +74,15 @@ class MeasurementSettings:
         n_j x n_j' is taken as n_j x (n_j' -+ n_j): for a nearly (anti)parallel
         pair the difference is exact, so a tiny sine keeps its full precision.
         """
-        a = np.array([[p.a.x, p.a.y, p.a.z] for p in self.pairs])
-        b = np.array([[p.b.x, p.b.y, p.b.z] for p in self.pairs])
+        a, b = self.direction_arrays()
         dots = np.einsum("ij,ij->i", a, b)
         cross = np.cross(a, b - np.where(dots >= 0.0, 1.0, -1.0)[:, None] * a)
         return tuple(np.arctan2(np.linalg.norm(cross, axis=1), dots).tolist())
 
     def subset(self, particles: tuple[int, ...]) -> "MeasurementSettings":
-        """Settings restricted to the given 1-based particles, order preserved."""
+        """Settings restricted to the given distinct 1-based particles, order preserved."""
+        if len(set(particles)) != len(particles) or not all(1 <= j <= self.n for j in particles):
+            raise ValueError(f"particles must be distinct and lie in 1..{self.n}, got {particles}")
         return MeasurementSettings(tuple(self.pairs[j - 1] for j in particles))
 
 

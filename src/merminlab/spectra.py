@@ -1,8 +1,9 @@
 """Spectra of Bell operators, GHZ eigenvectors, and classical (LHV) maxima.
 
-B's spectrum comes in closed form from ``bell.mermin_spectrum``; the dense
-``eigen_hermitian`` is its check.  Statevectors are complex arrays of length
-2^n (particle 1 = most significant bit, bit 0 = spin-up).
+B's spectrum comes in closed form from ``bell.mermin_spectrum`` and
+``SpectralReport`` clusters it; the dense eigensolve that checks it is a test
+oracle.  Statevectors are complex arrays of length 2^n (particle 1 = most
+significant bit, bit 0 = spin-up).
 
 The classical side maximizes over deterministic local-hidden-variable
 assignments a_j, a_j' in {+1, -1}: the n-particle Bell value of one assignment
@@ -52,23 +53,6 @@ class SpectralReport:
             clusters=tuple((math.fsum(block) / len(block), len(block)) for block in blocks),
             max_abs=float(np.max(np.abs(eigenvalues))),
         )
-
-
-def eigen_hermitian(
-    matrix: np.ndarray, tol: float = 1e-9, cluster_tol: float = 1e-7
-) -> SpectralReport:
-    """Eigendecompose a Hermitian matrix and cluster eigenvalues by gap.
-
-    Raises ValueError if the matrix deviates from Hermitian by more than
-    ``tol`` in max absolute entry; clusters as ``SpectralReport.from_eigenvalues``.
-    """
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm_defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e} > {tol}")
-    return SpectralReport.from_eigenvalues(np.linalg.eigvalsh(mat), cluster_tol)
 
 
 def ghz_state(n: int, sign: int = 1, phase: float = 0.0) -> np.ndarray:

@@ -5,8 +5,10 @@ matrices are assembled by Kronecker products of 2x2 letters, and products are
 formed one letter at a time from a table read off those 2x2 matrices, so
 agreement with the package is a real cross-check, not a tautology.  The
 commutator expansion of B^2 is rebuilt subset by subset through the general
-product, apart from the package's Kronecker construction.  Classical maxima
-are enumerated over all 4^n assignments, apart from the package's phase count.
+product from the embedded commutators C_j, apart from the package's
+closed-form per-site rows.  Spectra come from a dense eigensolve, apart from
+the package's closed form.  Classical maxima are enumerated over all 4^n
+assignments, apart from the package's phase count.
 """
 
 import math
@@ -14,10 +16,16 @@ from itertools import combinations
 
 import numpy as np
 
-from merminlab.bell import site_commutators
-from merminlab.pauli import PauliOperator, anticommutator, dense_single, embed, single_spin_operator
+from merminlab.pauli import (
+    PauliOperator,
+    anticommutator,
+    commutator,
+    dense_single,
+    embed,
+    single_spin_operator,
+)
 from merminlab.settings import PlanarSettings
-from merminlab.spectra import LhvResult
+from merminlab.spectra import LhvResult, SpectralReport
 
 LETTERS = "IXYZ"
 
@@ -82,6 +90,21 @@ def dense_oracle(op):
     return out
 
 
+def eigen_hermitian(matrix, tol=1e-9, cluster_tol=1e-7):
+    """Dense eigensolve of a Hermitian matrix, clustered as ``SpectralReport.from_eigenvalues``.
+
+    Raises ValueError if the matrix deviates from Hermitian by more than
+    ``tol`` in max absolute entry.
+    """
+    mat = np.asarray(matrix, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm_defect > tol:
+        raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e} > {tol}")
+    return SpectralReport.from_eigenvalues(np.linalg.eigvalsh(mat), cluster_tol)
+
+
 def dense_bell_oracle(settings):
     """Dense B = (prod(s_j + i s_j') - prod(s_j - i s_j')) / 2i from 2x2 matrices.
 
@@ -98,6 +121,15 @@ def dense_bell_oracle(settings):
         plus = np.kron(plus, sa + 1j * sb)
         minus = np.kron(minus, sa - 1j * sb)
     return (plus - minus) / 2j
+
+
+def site_commutators(settings):
+    """Embedded single-particle commutators C_j = [sigma(n_j), sigma(n_j')]."""
+    n = settings.n
+    return [
+        embed(commutator(single_spin_operator(p.a), single_spin_operator(p.b)), (j + 1,), n)
+        for j, p in enumerate(settings.pairs)
+    ]
 
 
 def site_anticommutators(settings):

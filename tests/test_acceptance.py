@@ -23,14 +23,13 @@ from merminlab.bell import (
     three_particle_operator,
 )
 from merminlab.spectra import (
-    eigen_hermitian,
     lhv_max,
     maximal_eigenvector_check,
     violation_table,
 )
 from merminlab.optimize import OptimizeConfig, optimize_angles, quantum_ceiling
 
-from conftest import perpendicular_base
+from conftest import eigen_hermitian, perpendicular_base
 
 
 def verdict(name, ok, detail):

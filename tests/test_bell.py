@@ -30,17 +30,18 @@ from merminlab.bell import (
     mermin_square_expansion,
     planar_spectral_max,
     planar_square_diagonal,
-    site_commutators,
     three_particle_operator,
 )
 from merminlab.pauli import UnitVector3
-from merminlab.spectra import SpectralReport, eigen_hermitian
+from merminlab.spectra import SpectralReport
 
 from conftest import (
     dense_bell_oracle,
     dense_oracle,
+    eigen_hermitian,
     perpendicular_base,
     site_anticommutators,
+    site_commutators,
     subset_expansion_oracle,
 )
 

@@ -104,37 +104,60 @@ class TestProductHomomorphism:
 
 
 class TestTensor:
-    """tensor() against np.kron of the factors' 2x2 matrices."""
+    """tensor() against np.kron of the rows' 2x2 matrices."""
 
     @staticmethod
-    def _dense_factor(op):
-        return sum(
-            (c * pauli.dense_single(s) for s, c in op.terms.items()),
-            np.zeros((2, 2), dtype=complex),
-        )
+    def _dense_row(row):
+        # columns are the letter codes I, Z, X, Y
+        return sum(c * pauli.dense_single(letter) for c, letter in zip(row, "IZXY"))
+
+    @staticmethod
+    def _random_rows(n, rng):
+        rows = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        return rows * (rng.random((n, 4)) < 0.7)
 
     def test_matches_kron_of_dense_factors(self):
         rng = np.random.default_rng(111)
         for n in (1, 2, 3, 5):
-            factors = [random_operator(1, int(rng.integers(1, 5)), rng) for _ in range(n)]
-            want = functools.reduce(np.kron, [self._dense_factor(f) for f in factors])
-            out = tensor(factors)
+            rows = self._random_rows(n, rng)
+            want = functools.reduce(np.kron, [self._dense_row(row) for row in rows])
+            out = tensor(rows)
+            assert out.n == n
             assert np.max(np.abs(dense_oracle(out) - want)) < 1e-12
-            # the chain emits its keys sorted, which coefficient() relies on
-            assert (out.keys[1:] > out.keys[:-1]).all()
-            assert all(out.coefficient(s) == c for s, c in out.terms.items())
+
+    def test_keys_come_out_sorted(self):
+        rng = np.random.default_rng(113)
+        out = tensor(rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4)))
+        # the chain emits its keys sorted, which coefficient() relies on
+        assert out.num_terms == 4**6
+        assert (out.keys[1:] > out.keys[:-1]).all()
+        assert all(out.coefficient(s) == c for s, c in out.terms.items())
 
     def test_zero_factor_gives_zero_operator(self):
         rng = np.random.default_rng(112)
-        factors = [random_operator(1, 4, rng), PauliOperator.zero(1), random_operator(1, 4, rng)]
-        out = tensor(factors)
+        rows = self._random_rows(3, rng)
+        rows[1] = 0.0
+        out = tensor(rows)
         assert out.n == 3 and out.terms == {}
 
+    def test_prunes_entries_at_tolerance(self):
+        # an entry at PRUNE_TOL is dropped before chaining, though 1e6 * PRUNE_TOL would not be
+        rows = np.array([[1e6, 0, 0, 0], [1.0, 0, pauli.PRUNE_TOL, 0]])
+        assert dict(tensor(rows).terms) == {"II": 1e6}
+        rows[1, 3] = 2 * pauli.PRUNE_TOL
+        assert dict(tensor(rows).terms) == {"II": 1e6, "IY": 2e6 * pauli.PRUNE_TOL}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        rows = np.ones((2, 4), dtype=complex)
+        rows[1, 2] = bad
+        with pytest.raises(ValueError):
+            tensor(rows)
+
     def test_rejects_bad_factors(self):
-        with pytest.raises(ValueError):
-            tensor([])
-        with pytest.raises(ValueError):
-            tensor([PauliOperator.from_string("X"), PauliOperator.from_string("XY")])
+        for shape in [(0, 4), (2, 3), (4,), (2, 4, 1)]:
+            with pytest.raises(ValueError):
+                tensor(np.ones(shape))
 
 
 class TestLetterProductOracle:
@@ -159,7 +182,7 @@ class TestLetterProductOracle:
         with pytest.raises(ResourceLimitError):
             PauliOperator.identity(33)
         with pytest.raises(ResourceLimitError):
-            tensor([PauliOperator.identity(1)] * 33)
+            tensor(np.ones((33, 4)))
         with pytest.raises(ResourceLimitError):
             embed(PauliOperator.identity(1), (1,), 33)
 

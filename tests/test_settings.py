@@ -167,6 +167,14 @@ def test_subset_keeps_order():
     assert sub.pairs == (ms.pairs[1], ms.pairs[3], ms.pairs[4])
 
 
+@pytest.mark.parametrize("particles", [(0, 1), (1, 6), (-1, 2), (1, 1), (2, 3, 2)])
+def test_subset_rejects_bad_particles(particles):
+    # 0 and -1 would index from the end, a repeat would duplicate a particle
+    ms = random_settings(5, np.random.default_rng(3))
+    with pytest.raises(ValueError):
+        ms.subset(particles)
+
+
 def test_wrap_angle_range_and_identity():
     rng = np.random.default_rng(4)
     for _ in range(200):

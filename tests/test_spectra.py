@@ -10,13 +10,12 @@ from merminlab.settings import PlanarSettings, random_planar
 from merminlab.bell import canonical_mermin, canonical_settings, mermin_operator
 from merminlab.spectra import (
     SpectralReport,
-    eigen_hermitian,
     expectation,
     ghz_state,
     maximal_eigenvector_check,
 )
 
-from conftest import random_operator
+from conftest import eigen_hermitian, random_operator
 
 
 def perpendicular_planar(n, rng=None):
