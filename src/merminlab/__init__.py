@@ -18,7 +18,6 @@ from .pauli import (
     embed,
     multiply,
     single_spin_operator,
-    sum_operators,
     tensor,
     to_dense,
 )

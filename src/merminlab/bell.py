@@ -33,7 +33,9 @@ h_j = (i/2) C_j = -(n_j x n_j') . sigma,
 
 since the two chains agree on the products of an even number of h_j and
 cancel on the rest, so the expansion takes two chains of n Kronecker steps
-instead of C(n, 2k) subset products per group.
+instead of C(n, 2k) subset products per group.  Each of B^2 and its
+expansion is one ``tensor`` call on a stack of such chains, every chain's
+weight riding on its first site's row, so the chains are summed in one pass.
 
 The spectrum of B reads one number per particle, the included angle theta_j
 in [0, pi] of (n_j, n_j').  A rotation, which conjugates sigma by a local
@@ -68,27 +70,9 @@ from .pauli import (
     ResourceLimitError,
     UnitVector3,
     embed,
-    single_spin_operator,
-    sum_operators,
     tensor,
 )
 from .settings import AnySettings, MeasurementSettings, PlanarSettings, SettingPair
-
-
-def site_spin_operators(
-    settings: MeasurementSettings,
-) -> tuple[list[PauliOperator], list[PauliOperator]]:
-    """Embedded sigma(n_j) and sigma(n_j') for every particle, 1-based order."""
-    n = settings.n
-    first = [
-        embed(single_spin_operator(pair.a), (j + 1,), n)
-        for j, pair in enumerate(settings.pairs)
-    ]
-    second = [
-        embed(single_spin_operator(pair.b), (j + 1,), n)
-        for j, pair in enumerate(settings.pairs)
-    ]
-    return first, second
 
 
 def _rows(scalars, vectors: np.ndarray) -> np.ndarray:
@@ -102,26 +86,39 @@ def _spin_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _rows(np.einsum("ij,ij->i", u, v), 1j * np.cross(u, v))
 
 
+def _stack(chains, weights: list[complex]) -> np.ndarray:
+    """``tensor`` stack of the row arrays ``chains``, each weight on its chain's first site."""
+    stack = np.stack(chains)
+    stack[:, 0] *= np.array(weights)[:, None]
+    return stack
+
+
 # ---- operator constructors ------------------------------------------------
 
 
-def chsh_operator(settings: MeasurementSettings) -> PauliOperator:
+def _spin_chains(settings: AnySettings, primed: tuple[tuple[int, ...], ...]) -> PauliOperator:
+    """Sum of four products over the sites j of sigma_j, or of sigma_j' where the
+    chain's row of ``primed`` is 1; the last product is negated."""
+    a, b = settings.direction_arrays()
+    chains = np.where(np.array(primed, dtype=bool)[:, :, None], _rows(0.0, b), _rows(0.0, a))
+    return tensor(_stack(chains, [1.0, 1.0, 1.0, -1.0]))
+
+
+def chsh_operator(settings: AnySettings) -> PauliOperator:
     """Two-particle operator sigma1 sigma2 + sigma1 sigma2' + sigma1' sigma2 - sigma1' sigma2'."""
     if settings.n != 2:
         raise ValueError("chsh_operator needs exactly two particles")
-    (s1, s2), (s1p, s2p) = site_spin_operators(settings)
-    return s1 * s2 + s1 * s2p + s1p * s2 - s1p * s2p
+    return _spin_chains(settings, ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
-def three_particle_operator(settings: MeasurementSettings) -> PauliOperator:
+def three_particle_operator(settings: AnySettings) -> PauliOperator:
     """Three-particle operator sigma1' s2 s3 + s1 sigma2' s3 + s1 s2 sigma3' - sigma1' sigma2' sigma3'."""
     if settings.n != 3:
         raise ValueError("three_particle_operator needs exactly three particles")
-    (s1, s2, s3), (p1, p2, p3) = site_spin_operators(settings)
-    return p1 * s2 * s3 + s1 * p2 * s3 + s1 * s2 * p3 - p1 * p2 * p3
+    return _spin_chains(settings, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
 
 
-def mermin_operator(settings: MeasurementSettings) -> PauliOperator:
+def mermin_operator(settings: AnySettings) -> PauliOperator:
     """General n-particle Bell operator (1/2i)(prod(sigma_j + i sigma_j') - prod(sigma_j - i sigma_j')).
 
     The two products are coefficientwise complex conjugates (each factor acts on
@@ -170,40 +167,36 @@ class ExpansionReport:
     residual: float
 
 
-def _factored_square(
-    settings: MeasurementSettings, alpha: complex, beta: complex
-) -> PauliOperator:
-    """(alpha P + beta Pbar)^2 for P = (x)_j (sigma_j + i sigma_j') and its partner Pbar.
+def _factored_square(settings: AnySettings, alpha: complex, beta: complex) -> np.ndarray:
+    """``tensor`` stack of (alpha P + beta Pbar)^2 for P = (x)_j (sigma_j + i sigma_j')
+    and its partner Pbar.
 
     The square is alpha^2 P^2 + beta^2 Pbar^2 + alpha beta (P Pbar + Pbar P),
     and each of the four products is a Kronecker chain of per-site spin
-    products in closed form (see the module docstring).
+    products in closed form (see the module docstring), its weight on its
+    first site.
     """
     a, b = settings.direction_arrays()
     plus, minus = a + 1j * b, a - 1j * b
-    return sum_operators(
+    return _stack(
         [
-            tensor(_spin_products(left, right)).scale(weight)
-            for weight, left, right in (
-                (alpha * alpha, plus, plus),
-                (beta * beta, minus, minus),
-                (alpha * beta, plus, minus),
-                (alpha * beta, minus, plus),
-            )
-        ]
+            _spin_products(left, right)
+            for left, right in ((plus, plus), (minus, minus), (plus, minus), (minus, plus))
+        ],
+        [alpha * alpha, beta * beta, alpha * beta, alpha * beta],
     )
 
 
-def mermin_square(settings: MeasurementSettings) -> PauliOperator:
+def mermin_square(settings: AnySettings) -> PauliOperator:
     """B^2 = -(1/4)(P^2 + Pbar^2 - P Pbar - Pbar P) for B = (P - Pbar)/2i.
 
     P^2 and Pbar^2 are prod_j (+-2i n_j . n_j') times I, so they vanish when
     any pair is perpendicular.
     """
-    return _factored_square(settings, -0.5j, 0.5j)
+    return tensor(_factored_square(settings, -0.5j, 0.5j))
 
 
-def chsh_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
+def chsh_square_expansion(settings: AnySettings) -> ExpansionReport:
     """B^2 = 4 I - C1 C2 for the two-particle operator.
 
     The CHSH operator adds the real part of P to the Mermin operator's
@@ -212,18 +205,22 @@ def chsh_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
     if settings.n != 2:
         raise ValueError("chsh_square_expansion needs exactly two particles")
     a, b = settings.direction_arrays()
-    # C1 C2 is the chain of C_j = 2i (n_j x n_j') . sigma
-    expansion = PauliOperator.identity(2, 4.0) - tensor(_rows(0.0, 2j * np.cross(a, b)))
+    cross = np.cross(a, b)
+    # 4 I and -C1 C2, C1 C2 the chain of C_j = 2i (n_j x n_j') . sigma
+    chains = [_rows(1.0, np.zeros_like(cross)), _rows(0.0, 2j * cross)]
+    expansion = tensor(_stack(chains, [4.0, -1.0]))
     return ExpansionReport(
         n=2,
         expansion=expansion,
         group_term_counts={2: 1},
         final_term_count=0,
-        residual=expansion.max_coeff_diff(_factored_square(settings, 0.5 - 0.5j, 0.5 + 0.5j)),
+        residual=expansion.max_coeff_diff(
+            tensor(_factored_square(settings, 0.5 - 0.5j, 0.5 + 0.5j))
+        ),
     )
 
 
-def mermin_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
+def mermin_square_expansion(settings: AnySettings) -> ExpansionReport:
     """Full commutator expansion of B^2 for any n >= 3, residual-checked.
 
     The weighted group sums 2^(n-1) sum_k (-1/4)^k e_2k(C_1, ..., C_n),
@@ -235,27 +232,20 @@ def mermin_square_expansion(settings: MeasurementSettings) -> ExpansionReport:
         raise ValueError("mermin_square_expansion needs n >= 3 (use chsh_square_expansion)")
     a, b = settings.direction_arrays()
     cross = np.cross(a, b)
-    parts = []
-    # I + h_j and I - h_j, h_j = -(n_j x n_j') . sigma
-    for w in (-cross, cross):
-        rows = _rows(1.0, w)
-        # 2^(n-1) rides on the first site, so each chain is pruned at full scale
-        rows[0] *= 2.0 ** (n - 1)
-        parts.append(tensor(rows))
-    final_term_count = 0
+    # I + h_j and I - h_j, h_j = -(n_j x n_j') . sigma, each weighted 2^(n-1) / 2
+    vectors, weights = [-cross, cross], [2.0 ** (n - 2)] * 2
     if n % 2 == 0:
-        # the rest of the closing term: -(-1)^(n/2) (1/2) prod_j A_j, A_j = 2 (n_j . n_j') I,
-        # doubled because the sum is halved
-        anticommutators = float(np.prod(2.0 * np.einsum("ij,ij->i", a, b)))
-        parts.append(PauliOperator.identity(n, -(-1) ** (n // 2) * anticommutators))
-        final_term_count = 2
-    expansion = sum_operators(parts).scale(0.5)
+        # an identity chain for the rest of the closing term, -(-1)^(n/2) (1/2) prod_j A_j
+        # with A_j = 2 (n_j . n_j') I
+        vectors.append(np.zeros_like(cross))
+        weights.append(-(-1) ** (n // 2) * 0.5 * float(np.prod(2.0 * np.einsum("ij,ij->i", a, b))))
+    expansion = tensor(_stack([_rows(1.0, w) for w in vectors], weights))
     top = n - 1 if n % 2 else n - 2
     return ExpansionReport(
         n=n,
         expansion=expansion,
         group_term_counts={two_k: math.comb(n, two_k) for two_k in range(2, top + 1, 2)},
-        final_term_count=final_term_count,
+        final_term_count=2 if n % 2 == 0 else 0,
         residual=expansion.max_coeff_diff(mermin_square(settings)),
     )
 

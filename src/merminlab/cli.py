@@ -29,7 +29,6 @@ import numpy as np
 
 from .pauli import PauliOperator, ResourceLimitError, to_dense
 from .settings import (
-    MeasurementSettings,
     PlanarSettings,
     load_settings,
     random_planar,
@@ -109,7 +108,7 @@ class _CheckList:
 
 def _planar_dense_residual(planar: PlanarSettings) -> float:
     """Closed-form diagonal vs the dense factored square: entrywise and off-diagonal."""
-    square = to_dense(mermin_square(planar.to_measurement_settings()))
+    square = to_dense(mermin_square(planar))
     idx = np.arange(len(square))
     square[idx, idx] -= planar_square_diagonal(planar)
     return float(np.max(np.abs(square)))
@@ -294,10 +293,7 @@ def cmd_spectrum(args) -> tuple[dict, int]:
     n = settings.n
     if n > SPECTRUM_LIMIT:
         raise ResourceLimitError(f"spectrum for n={n} exceeds limit {SPECTRUM_LIMIT}")
-    measurement = (
-        settings if isinstance(settings, MeasurementSettings) else settings.to_measurement_settings()
-    )
-    op = mermin_operator(measurement)
+    op = mermin_operator(settings)
     spectral = SpectralReport.from_eigenvalues(mermin_spectrum(settings))
     closed_form = spectral_max_of_included_angles(settings.included_angles)
 

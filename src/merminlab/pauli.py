@@ -23,8 +23,9 @@ appear only where a caller reads or writes them: the dict constructor,
 keys and read their phase off bit-plane popcounts; sums add equal keys in
 4^n bins or merge them by sorting (``_summed``); a Kronecker chain of
 per-site coefficient rows (``tensor``) appends two bits per site and comes
-out sorted and free of repeats; dense conversion and statevector action
-share one Walsh-Hadamard kernel (``_flip_blocks``).
+out sorted and free of repeats, and a stack of chains is summed in one pass;
+dense conversion and statevector action share one Walsh-Hadamard kernel
+(``_flip_blocks``).
 
 Values are treated as immutable after construction (their arrays are
 read-only) and all operations are pure functions, so operators can be shared
@@ -223,7 +224,9 @@ class PauliOperator:
     def __add__(self, other: "PauliOperator") -> "PauliOperator":
         if not isinstance(other, PauliOperator):
             return NotImplemented
-        return sum_operators((self, other))
+        self._check_same_n(other)
+        parts = ((self.keys, self.coeffs), (other.keys, other.coeffs))
+        return _summed(self.n, parts, self.num_terms + other.num_terms)
 
     def __sub__(self, other: "PauliOperator") -> "PauliOperator":
         if not isinstance(other, PauliOperator):
@@ -315,16 +318,6 @@ def _summed(n: int, parts: Iterable[tuple[np.ndarray, np.ndarray]], size: int) -
     return _pruned(n, *_merged(*(np.concatenate(part) for part in zip(*parts))))
 
 
-def sum_operators(ops: Sequence[PauliOperator]) -> PauliOperator:
-    """Sum of operators on the same particle count, equal strings merged once."""
-    if not ops:
-        raise ValueError("sum_operators needs at least one operator")
-    for op in ops[1:]:
-        ops[0]._check_same_n(op)
-    parts = [(op.keys, op.coeffs) for op in ops]
-    return _summed(ops[0].n, parts, sum(op.num_terms for op in ops))
-
-
 def _phase_count(keys: np.ndarray) -> np.ndarray:
     """Number of Y letters of every key, |x & z| per string."""
     return np.bitwise_count(keys & (keys >> _ONE) & _PHASE_BITS)
@@ -365,27 +358,36 @@ def _product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
 
 
 def tensor(sites: np.ndarray) -> PauliOperator:
-    """Kronecker product of single-particle operators, particle 1 first.
+    """Kronecker product of single-particle operators, particle 1 first, or
+    the sum of a stack of such products.
 
-    Row j of the (n, 4) array ``sites`` holds particle j + 1's coefficients
-    of I, Z, X, Y: column k is letter code k.  Entries at or below
-    ``PRUNE_TOL`` are dropped before chaining, as a single-particle operator
-    would drop them.
+    Row j of an (n, 4) array ``sites`` holds particle j + 1's coefficients
+    of I, Z, X, Y: column k is letter code k.  A (K, n, 4) array stacks K
+    such chains and gives their sum, the coefficients under a string added
+    in chain order; a chain's weight rides on its first row.  Entries at or
+    below ``PRUNE_TOL`` are dropped before chaining, as a single-particle
+    operator would drop them.
     """
     sites = np.asarray(sites, dtype=np.complex128)
-    if sites.ndim != 2 or sites.shape[1] != 4 or not len(sites):
-        raise ValueError(f"tensor needs an (n, 4) array of site coefficients, got {sites.shape}")
+    if sites.ndim not in (2, 3) or sites.shape[-1] != 4 or 0 in sites.shape:
+        raise ValueError(f"tensor needs (n, 4) or (K, n, 4) site coefficients, got {sites.shape}")
     if not np.isfinite(sites).all():
         raise ValueError("site coefficients must be finite")
-    _check_n(len(sites))
+    n = sites.shape[-2]
+    _check_n(n)
     codes = np.arange(4, dtype=np.uint64)
-    keys = np.zeros(1, dtype=np.uint64)
-    coeffs = np.ones(1, dtype=np.complex128)
-    for row in sites:
-        keep = np.abs(row) > PRUNE_TOL
-        keys = ((keys << np.uint64(2))[:, None] | codes[keep]).ravel()
-        coeffs = (coeffs[:, None] * row[keep]).ravel()
-    return _pruned(len(sites), keys, coeffs)
+    chains = []
+    for chain in sites.reshape(-1, n, 4):
+        keys = np.zeros(1, dtype=np.uint64)
+        coeffs = np.ones(1, dtype=np.complex128)
+        for row in chain:
+            keep = np.abs(row) > PRUNE_TOL
+            keys = ((keys << np.uint64(2))[:, None] | codes[keep]).ravel()
+            coeffs = (coeffs[:, None] * row[keep]).ravel()
+        chains.append((keys, coeffs))
+    if sites.ndim == 2:
+        return _pruned(n, *chains[0])
+    return _summed(n, chains, sum(len(keys) for keys, _ in chains))
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:

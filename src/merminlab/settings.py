@@ -105,6 +105,14 @@ class PlanarSettings:
     def n(self) -> int:
         return len(self.angles)
 
+    def direction_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, 3) arrays of the n_j and of the n_j', each (cos phi, sin phi, 0)
+        as ``UnitVector3.from_azimuth`` builds it, particle j in row j - 1."""
+        return tuple(
+            np.array([[math.cos(phi), math.sin(phi), 0.0] for phi in azimuths])
+            for azimuths in zip(*self.angles)
+        )
+
     @property
     def included_angles(self) -> tuple[float, ...]:
         """theta_j = phi_j' - phi_j for each particle."""

@@ -24,6 +24,9 @@ from .pauli import PauliOperator, ResourceLimitError, apply_operator
 from .settings import PlanarSettings
 from .bell import mermin_operator
 
+#: eigenvalues closer than this join one cluster
+CLUSTER_TOL = 1e-7
+
 #: largest n for lhv_max and violation_table: a witness encoding holds 2n
 #: bits, and n = 31 keeps it inside a signed 64-bit integer
 LHV_LIMIT = 31
@@ -38,16 +41,14 @@ class SpectralReport:
     max_abs: float
 
     @classmethod
-    def from_eigenvalues(
-        cls, eigenvalues: np.ndarray, cluster_tol: float = 1e-7
-    ) -> "SpectralReport":
+    def from_eigenvalues(cls, eigenvalues: np.ndarray) -> "SpectralReport":
         """Cluster ascending eigenvalues by gap.
 
-        Consecutive eigenvalues closer than ``cluster_tol`` join one cluster,
+        Consecutive eigenvalues closer than ``CLUSTER_TOL`` join one cluster,
         reported as (cluster mean, count).  The mean is an exactly rounded sum
         (``math.fsum``), so a cluster of +- pairs reports 0.0.
         """
-        blocks = np.split(eigenvalues, np.flatnonzero(np.diff(eigenvalues) > cluster_tol) + 1)
+        blocks = np.split(eigenvalues, np.flatnonzero(np.diff(eigenvalues) > CLUSTER_TOL) + 1)
         return cls(
             eigenvalues=eigenvalues,
             clusters=tuple((math.fsum(block) / len(block), len(block)) for block in blocks),
@@ -68,13 +69,13 @@ def ghz_state(n: int, sign: int = 1, phase: float = 0.0) -> np.ndarray:
     return state
 
 
-def expectation(state: np.ndarray, op: PauliOperator, tol: float = 1e-10) -> float:
-    """<state|op|state> for a Hermitian operator; the tiny imaginary residue is
-    checked against ``tol`` and discarded."""
-    if not op.is_hermitian(tol):
+def expectation(state: np.ndarray, op: PauliOperator) -> float:
+    """<state|op|state> for a Hermitian operator; an imaginary residue below
+    1e-10 is discarded."""
+    if not op.is_hermitian():
         raise ValueError("expectation requires a Hermitian operator")
     value = complex(np.vdot(state, apply_operator(op, state)))
-    if abs(value.imag) >= tol:
+    if abs(value.imag) >= 1e-10:
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
     return value.real
 
@@ -89,7 +90,7 @@ def maximal_eigenvector_check(planar: PlanarSettings, sign: int = 1) -> float:
     for theta in planar.included_angles:
         if abs(math.remainder(theta - math.pi / 2.0, 2.0 * math.pi)) > 1e-9:
             raise ValueError("maximal eigenvector check needs theta_j = pi/2 everywhere")
-    op = mermin_operator(planar.to_measurement_settings())
+    op = mermin_operator(planar)
     phase = sum(phi for phi, _ in planar.angles) + math.pi / 2.0
     state = ghz_state(n, sign, phase)
     residual = apply_operator(op, state) - float(sign * 2 ** (n - 1)) * state

@@ -90,7 +90,7 @@ def dense_oracle(op):
     return out
 
 
-def eigen_hermitian(matrix, tol=1e-9, cluster_tol=1e-7):
+def eigen_hermitian(matrix, tol=1e-9):
     """Dense eigensolve of a Hermitian matrix, clustered as ``SpectralReport.from_eigenvalues``.
 
     Raises ValueError if the matrix deviates from Hermitian by more than
@@ -102,7 +102,7 @@ def eigen_hermitian(matrix, tol=1e-9, cluster_tol=1e-7):
     herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_defect > tol:
         raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e} > {tol}")
-    return SpectralReport.from_eigenvalues(np.linalg.eigvalsh(mat), cluster_tol)
+    return SpectralReport.from_eigenvalues(np.linalg.eigvalsh(mat))
 
 
 def dense_bell_oracle(settings):

@@ -39,6 +39,7 @@ from conftest import (
     dense_bell_oracle,
     dense_oracle,
     eigen_hermitian,
+    kron_dense,
     perpendicular_base,
     site_anticommutators,
     site_commutators,
@@ -111,6 +112,17 @@ class TestOperatorConstruction:
         op = chsh_operator(canonical_settings(2))
         eigs = np.sort(np.linalg.eigvalsh(to_dense(op)))
         assert np.max(np.abs(np.sort(np.abs(eigs))[-1] - 2 * math.sqrt(2))) < 1e-9
+
+    def test_chsh_matches_kron_of_spin_matrices(self):
+        rng = np.random.default_rng(25)
+        for _ in range(5):
+            s = random_settings(2, rng)
+            (s1, p1), (s2, p2) = (
+                [sum(c * kron_dense(ch) for c, ch in zip((v.x, v.y, v.z), "XYZ")) for v in (pair.a, pair.b)]
+                for pair in s.pairs
+            )
+            want = np.kron(s1, s2) + np.kron(s1, p2) + np.kron(p1, s2) - np.kron(p1, p2)
+            assert np.max(np.abs(to_dense(chsh_operator(s)) - want)) < 1e-12
 
     def test_wrong_n_rejected(self):
         rng = np.random.default_rng(24)
@@ -431,6 +443,21 @@ class TestMerminSpectrum:
         s = _settings_from_rows(rows)
         want = np.linalg.eigvalsh(dense_oracle(mermin_operator(s)))
         assert np.max(np.abs(mermin_spectrum(s) - want)) < 1e-10
+
+
+class TestEitherSettingsForm:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_planar_builds_the_bits_of_its_vectors(self, n):
+        # PlanarSettings.direction_arrays takes each azimuth's cos and sin as
+        # UnitVector3.from_azimuth does, so both forms build the same bits
+        planar = random_planar(n, np.random.default_rng(600 + n))
+        vectors = planar.to_measurement_settings()
+        expansion = chsh_square_expansion if n == 2 else mermin_square_expansion
+        for build in (mermin_operator, mermin_square, lambda s: expansion(s).expansion):
+            got, want = build(planar), build(vectors)
+            assert got.keys.tobytes() == want.keys.tobytes()
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert expansion(planar).residual == expansion(vectors).residual
 
 
 class TestRotationInvariance:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 import re
 
 import numpy as np
@@ -133,6 +134,26 @@ class TestTensor:
         assert (out.keys[1:] > out.keys[:-1]).all()
         assert all(out.coefficient(s) == c for s, c in out.terms.items())
 
+    def test_stack_sums_its_chains(self):
+        rng = np.random.default_rng(114)
+        n = 3
+        for k in range(1, 5):
+            stack = np.stack([self._random_rows(n, rng) for _ in range(k)])
+            stack[-1, 1] = 0.0  # a zero chain
+            if k > 1:
+                stack[0, :, 1:] = 0.0  # a scalar-only chain
+            out = tensor(stack)
+            assert out.n == n
+            assert out.max_coeff_diff(functools.reduce(operator.add, map(tensor, stack))) < 1e-12
+            want = sum(functools.reduce(np.kron, [self._dense_row(row) for row in rows]) for rows in stack)
+            assert np.max(np.abs(dense_oracle(out) - want)) < 1e-12
+
+    def test_one_chain_stack_equals_the_chain(self):
+        rows = self._random_rows(4, np.random.default_rng(115))
+        out, want = tensor(rows[None]), tensor(rows)
+        assert np.array_equal(out.keys, want.keys)
+        assert np.array_equal(out.coeffs, want.coeffs)
+
     def test_zero_factor_gives_zero_operator(self):
         rng = np.random.default_rng(112)
         rows = self._random_rows(3, rng)
@@ -153,9 +174,14 @@ class TestTensor:
         rows[1, 2] = bad
         with pytest.raises(ValueError):
             tensor(rows)
+        for k in range(3):
+            stack = np.ones((3, 2, 4), dtype=complex)
+            stack[k, 1, 2] = bad
+            with pytest.raises(ValueError):
+                tensor(stack)
 
     def test_rejects_bad_factors(self):
-        for shape in [(0, 4), (2, 3), (4,), (2, 4, 1)]:
+        for shape in [(0, 4), (2, 3), (4,), (2, 4, 1), (0, 3, 4), (2, 0, 4), (2, 3, 3), (1, 2, 3, 4)]:
             with pytest.raises(ValueError):
                 tensor(np.ones(shape))
 

@@ -43,7 +43,7 @@ class TestEigenHermitian:
 
     def test_clustering_merges_close_values(self):
         mat = np.diag([1.0, 1.0 + 1e-9, 2.0])
-        report = eigen_hermitian(mat, cluster_tol=1e-7)
+        report = eigen_hermitian(mat)
         assert [count for _, count in report.clusters] == [2, 1]
 
     def test_reproducible(self):
