@@ -9,6 +9,7 @@ quantum maxima against exact classical bounds.
 from .pauli import (
     DENSE_LIMIT,
     PRUNE_TOL,
+    TENSOR_LIMIT,
     PauliOperator,
     ResourceLimitError,
     UnitVector3,
@@ -17,7 +18,6 @@ from .pauli import (
     commutator,
     embed,
     multiply,
-    single_spin_operator,
     tensor,
     to_dense,
 )
@@ -40,24 +40,20 @@ from .bell import (
     ReductionSpec,
     canonical_mermin,
     canonical_settings,
-    chsh_operator,
-    chsh_square_expansion,
     default_reduction_spec,
     degenerate_settings,
     mermin_operator,
     mermin_spectrum,
     mermin_square,
     mermin_square_expansion,
-    planar_spectral_max,
     planar_square_diagonal,
     reduction_check,
-    three_particle_operator,
+    spectral_max_of_included_angles,
 )
 from .spectra import (
     LhvResult,
     SpectralReport,
     ViolationRow,
-    expectation,
     ghz_state,
     lhv_max,
     maximal_eigenvector_check,

@@ -1,24 +1,32 @@
 """Bell-operator constructors and their exact squared-operator structure.
 
-The n-particle Bell operator for settings {(n_j, n_j')} is
+The n-particle Bell operator for settings {(n_j, n_j')} and a phase gamma is
 
-    B = (1/2i) [ prod_j (sigma(n_j) + i sigma(n_j')) - prod_j (sigma(n_j) - i sigma(n_j')) ].
+    B_gamma = (1/2i) [ e^(i gamma) P - e^(-i gamma) Pbar ],
+    P = prod_j (sigma(n_j) + i sigma(n_j')),   Pbar = prod_j (sigma(n_j) - i sigma(n_j')).
 
-Its square closes over the single-particle commutators C_j = [sigma_j, sigma_j']
-and anticommutators A_j = {sigma_j, sigma_j'}:
+gamma = 0 is Mermin's operator; at n = 3 it is the four correlators
+s1' s2 s3 + s1 s2' s3 + s1 s2 s3' - s1' s2' s3'.  At n = 2 the CHSH operator
+s1 s2 + s1 s2' + s1' s2 - s1' s2' is sqrt(2) B_(pi/4).  Every builder below
+takes gamma as a factor e^(i gamma) on the first site's row of P's chain,
+with e^(-i gamma) on Pbar's.
 
-    B^2 = 2^(n-1) I + sum_k (-1)^k 2^(n-2k-1) sum_{|S|=2k} prod_{j in S} C_j
+The square closes over the single-particle commutators C_j = [sigma_j, sigma_j']
+and anticommutators A_j = {sigma_j, sigma_j'} = 2 (n_j . n_j') I:
 
-with 2k running to n-1 for odd n; for even n the sum stops at n-2 and picks up
-the closing term (-1)^(n/2) (1/2) (prod_j C_j - prod_j A_j).
+    B_gamma^2 = sum_k (-1)^k 2^(n-2k-1) sum_{|S|=2k} prod_{j in S} C_j
+                - (1/2) Re(e^(2i gamma) i^n) prod_j A_j
+
+with 2k running from 0 to n.  At gamma = 0 the scalar term vanishes for odd
+n, and for even n it joins the 2k = n group as Mermin's closing term
+(-1)^(n/2) (1/2) (prod_j C_j - prod_j A_j).
 
 B itself and both sides are built from per-particle factors, never by
-multiplying n-particle operators.  P = (x)_j (sigma_j + i sigma_j') is one
-Kronecker chain, and its partner Pbar = (x)_j (sigma_j - i sigma_j') has the
-conjugate coefficients, so B = (P - Pbar) / 2i keeps the imaginary parts of
-P's coefficients.  The square is
+multiplying n-particle operators.  P is one Kronecker chain, and Pbar has the
+conjugate coefficients, so B_gamma keeps the imaginary parts of
+e^(i gamma) P's coefficients.  The square is
 
-    B^2 = -(1/4) (P^2 + Pbar^2 - P Pbar - Pbar P),
+    B_gamma^2 = -(1/4) (e^(2i gamma) P^2 + e^(-2i gamma) Pbar^2 - P Pbar - Pbar P),
 
 and each of the four products is a Kronecker chain of per-site products
 read off sigma(u) sigma(v) = (u . v) I + i (u x v) . sigma for complex
@@ -47,18 +55,27 @@ product basis |s>, s in {+-1}^n, P and Pbar map each |s> to |-s>:
     alpha_j(s) = 1 + s sin theta_j + i cos theta_j,
     beta_j(s) = 1 - s sin theta_j - i cos theta_j.
 
-B therefore maps span{|s>, |-s>} into itself with zero diagonal, and, being
-Hermitian, has the eigenvalues +-|prod_j alpha_j(s_j) - prod_j beta_j(s_j)| / 2
-there.
+B_gamma therefore maps span{|s>, |-s>} into itself with zero diagonal, and,
+being Hermitian, has the eigenvalues
++-|e^(i gamma) prod_j alpha_j(s_j) - e^(-i gamma) prod_j beta_j(s_j)| / 2 there.
 
-When m of the C_j vanish because n_j' = +-n_j (degenerate pairs, sign products
--1 pairwise, plus one perpendicular surviving pair when m is odd), the square
-collapses onto the surviving particles: B^2(n|m) = 2^m B^2(n-m), capping the
-attainable quantum value at 2^(-m/2) of the unconstrained maximum.
+When m particles have degenerate pairs n_j' = s_j n_j, their C_j vanish and
+their factors sigma_j + i sigma_j' = (1 + i s_j) sigma_j are scalar multiples
+of one Hermitian involution.  With p signs +1 and q signs -1,
+prod_j (1 + i s_j) = 2^(m/2) e^(i pi (p - q) / 4), so
+
+    B_gamma(n|m) = 2^(m/2) D (x) B_gamma'(n - m),   gamma' = gamma + pi (p - q) / 4,
+
+with D = (x)_j sigma_j over the degenerate particles and D^2 = I.  Whatever
+the signs, the square collapses onto the surviving particles,
+B_gamma^2(n|m) = 2^m B_gamma'^2(n - m), and the spectrum is that of
+B_gamma'(n - m) scaled by 2^(m/2), each |eigenvalue| repeated 2^m times: the
+attainable quantum value is capped at 2^(-m/2) of the unconstrained maximum.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -96,30 +113,9 @@ def _stack(chains, weights: list[complex]) -> np.ndarray:
 # ---- operator constructors ------------------------------------------------
 
 
-def _spin_chains(settings: AnySettings, primed: tuple[tuple[int, ...], ...]) -> PauliOperator:
-    """Sum of four products over the sites j of sigma_j, or of sigma_j' where the
-    chain's row of ``primed`` is 1; the last product is negated."""
-    a, b = settings.direction_arrays()
-    chains = np.where(np.array(primed, dtype=bool)[:, :, None], _rows(0.0, b), _rows(0.0, a))
-    return tensor(_stack(chains, [1.0, 1.0, 1.0, -1.0]))
-
-
-def chsh_operator(settings: AnySettings) -> PauliOperator:
-    """Two-particle operator sigma1 sigma2 + sigma1 sigma2' + sigma1' sigma2 - sigma1' sigma2'."""
-    if settings.n != 2:
-        raise ValueError("chsh_operator needs exactly two particles")
-    return _spin_chains(settings, ((0, 0), (0, 1), (1, 0), (1, 1)))
-
-
-def three_particle_operator(settings: AnySettings) -> PauliOperator:
-    """Three-particle operator sigma1' s2 s3 + s1 sigma2' s3 + s1 s2 sigma3' - sigma1' sigma2' sigma3'."""
-    if settings.n != 3:
-        raise ValueError("three_particle_operator needs exactly three particles")
-    return _spin_chains(settings, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
-
-
-def mermin_operator(settings: AnySettings) -> PauliOperator:
-    """General n-particle Bell operator (1/2i)(prod(sigma_j + i sigma_j') - prod(sigma_j - i sigma_j')).
+def mermin_operator(settings: AnySettings, gamma: float = 0.0) -> PauliOperator:
+    """n-particle Bell operator B_gamma = (1/2i)(e^(i gamma) prod(sigma_j + i sigma_j')
+    - e^(-i gamma) prod(sigma_j - i sigma_j')).
 
     The two products are coefficientwise complex conjugates (each factor acts on
     its own particle), so the subtraction reduces to keeping Im of the plus
@@ -127,7 +123,9 @@ def mermin_operator(settings: AnySettings) -> PauliOperator:
     two-product form through the general multiply and checks agreement.
     """
     a, b = settings.direction_arrays()
-    return tensor(_rows(0.0, a + 1j * b)).imaginary_part()
+    rows = _rows(0.0, a + 1j * b)
+    rows[0] *= cmath.exp(1j * gamma)
+    return tensor(rows).imaginary_part()
 
 
 def canonical_mermin(n: int) -> PauliOperator:
@@ -155,98 +153,68 @@ def canonical_settings(n: int) -> MeasurementSettings:
 class ExpansionReport:
     """Commutator expansion of a squared Bell operator, checked against the direct square.
 
-    group_term_counts maps commutator-group order 2k to the number of summed
-    products (always C(n, 2k)); final_term_count is 2 for even n (the closing
-    full-commutator and full-anticommutator products), otherwise 0.
+    group_term_counts maps commutator-group order 2k, 2 <= 2k < n, to the
+    number of summed products, C(n, 2k); the all-site product at 2k = n is
+    left out.
     """
 
     n: int
     expansion: PauliOperator
     group_term_counts: dict[int, int]
-    final_term_count: int
     residual: float
 
 
-def _factored_square(settings: AnySettings, alpha: complex, beta: complex) -> np.ndarray:
-    """``tensor`` stack of (alpha P + beta Pbar)^2 for P = (x)_j (sigma_j + i sigma_j')
-    and its partner Pbar.
+def mermin_square(settings: AnySettings, gamma: float = 0.0) -> PauliOperator:
+    """B_gamma^2 = -(1/4)(e^(2i gamma) P^2 + e^(-2i gamma) Pbar^2 - P Pbar - Pbar P)
+    for P = (x)_j (sigma_j + i sigma_j') and its partner Pbar.
 
-    The square is alpha^2 P^2 + beta^2 Pbar^2 + alpha beta (P Pbar + Pbar P),
-    and each of the four products is a Kronecker chain of per-site spin
-    products in closed form (see the module docstring), its weight on its
-    first site.
-    """
-    a, b = settings.direction_arrays()
-    plus, minus = a + 1j * b, a - 1j * b
-    return _stack(
-        [
-            _spin_products(left, right)
-            for left, right in ((plus, plus), (minus, minus), (plus, minus), (minus, plus))
-        ],
-        [alpha * alpha, beta * beta, alpha * beta, alpha * beta],
-    )
-
-
-def mermin_square(settings: AnySettings) -> PauliOperator:
-    """B^2 = -(1/4)(P^2 + Pbar^2 - P Pbar - Pbar P) for B = (P - Pbar)/2i.
-
+    Each of the four products is a Kronecker chain of per-site spin products
+    in closed form (see the module docstring), its weight on its first site.
     P^2 and Pbar^2 are prod_j (+-2i n_j . n_j') times I, so they vanish when
     any pair is perpendicular.
     """
-    return tensor(_factored_square(settings, -0.5j, 0.5j))
-
-
-def chsh_square_expansion(settings: AnySettings) -> ExpansionReport:
-    """B^2 = 4 I - C1 C2 for the two-particle operator.
-
-    The CHSH operator adds the real part of P to the Mermin operator's
-    imaginary part: B = ((1 - i) P + (1 + i) Pbar) / 2.
-    """
-    if settings.n != 2:
-        raise ValueError("chsh_square_expansion needs exactly two particles")
     a, b = settings.direction_arrays()
-    cross = np.cross(a, b)
-    # 4 I and -C1 C2, C1 C2 the chain of C_j = 2i (n_j x n_j') . sigma
-    chains = [_rows(1.0, np.zeros_like(cross)), _rows(0.0, 2j * cross)]
-    expansion = tensor(_stack(chains, [4.0, -1.0]))
-    return ExpansionReport(
-        n=2,
-        expansion=expansion,
-        group_term_counts={2: 1},
-        final_term_count=0,
-        residual=expansion.max_coeff_diff(
-            tensor(_factored_square(settings, 0.5 - 0.5j, 0.5 + 0.5j))
-        ),
+    plus, minus = a + 1j * b, a - 1j * b
+    phase = cmath.exp(2j * gamma)
+    return tensor(
+        _stack(
+            [
+                _spin_products(left, right)
+                for left, right in ((plus, plus), (minus, minus), (plus, minus), (minus, plus))
+            ],
+            [-0.25 * phase, -0.25 * phase.conjugate(), 0.25, 0.25],
+        )
     )
 
 
-def mermin_square_expansion(settings: AnySettings) -> ExpansionReport:
-    """Full commutator expansion of B^2 for any n >= 3, residual-checked.
+def mermin_square_expansion(settings: AnySettings, gamma: float = 0.0) -> ExpansionReport:
+    """Full commutator expansion of B_gamma^2 for any n, residual-checked.
 
-    The weighted group sums 2^(n-1) sum_k (-1/4)^k e_2k(C_1, ..., C_n),
-    including the closing (-1)^(n/2) (1/2) prod_j C_j at 2k = n, are the mean
-    of the chains 2^(n-1) (x)_j (I +- (i/2) C_j) (see the module docstring).
+    The weighted group sums 2^(n-1) sum_k (-1/4)^k e_2k(C_1, ..., C_n) are the
+    mean of the chains 2^(n-1) (x)_j (I +- (i/2) C_j); the scalar
+    -(1/2) Re(e^(2i gamma) i^n) prod_j A_j is one more, identity, chain where
+    it is nonzero (see the module docstring).
     """
     n = settings.n
-    if n < 3:
-        raise ValueError("mermin_square_expansion needs n >= 3 (use chsh_square_expansion)")
     a, b = settings.direction_arrays()
     cross = np.cross(a, b)
     # I + h_j and I - h_j, h_j = -(n_j x n_j') . sigma, each weighted 2^(n-1) / 2
     vectors, weights = [-cross, cross], [2.0 ** (n - 2)] * 2
-    if n % 2 == 0:
-        # an identity chain for the rest of the closing term, -(-1)^(n/2) (1/2) prod_j A_j
-        # with A_j = 2 (n_j . n_j') I
+    # A_j = 2 (n_j . n_j') I; at gamma = 0 the phase is exactly 1, so for odd n
+    # the scalar is exactly zero and no identity chain is added
+    scalar = -0.5 * (cmath.exp(2j * gamma) * 1j**n).real * float(
+        np.prod(2.0 * np.einsum("ij,ij->i", a, b))
+    )
+    if scalar:
         vectors.append(np.zeros_like(cross))
-        weights.append(-(-1) ** (n // 2) * 0.5 * float(np.prod(2.0 * np.einsum("ij,ij->i", a, b))))
+        weights.append(scalar)
     expansion = tensor(_stack([_rows(1.0, w) for w in vectors], weights))
     top = n - 1 if n % 2 else n - 2
     return ExpansionReport(
         n=n,
         expansion=expansion,
         group_term_counts={two_k: math.comb(n, two_k) for two_k in range(2, top + 1, 2)},
-        final_term_count=2 if n % 2 == 0 else 0,
-        residual=expansion.max_coeff_diff(mermin_square(settings)),
+        residual=expansion.max_coeff_diff(mermin_square(settings, gamma)),
     )
 
 
@@ -266,13 +234,13 @@ def _site_amplitudes(theta: float) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def mermin_spectrum(settings: AnySettings) -> np.ndarray:
-    """All 2^n eigenvalues of B in ascending order, without a dense matrix.
+def mermin_spectrum(settings: AnySettings, gamma: float = 0.0) -> np.ndarray:
+    """All 2^n eigenvalues of B_gamma in ascending order, without a dense matrix.
 
     Each pair {|s>, |-s>} of Z product states contributes
-    +-|prod_j alpha_j(s_j) - prod_j beta_j(s_j)| / 2 (see the module
-    docstring); the two products are Kronecker chains of per-site 2-vectors
-    over the states with s_1 = +1, one from each pair.
+    +-|e^(i gamma) prod_j alpha_j(s_j) - e^(-i gamma) prod_j beta_j(s_j)| / 2
+    (see the module docstring); the two products are Kronecker chains of
+    per-site 2-vectors over the states with s_1 = +1, one from each pair.
     """
     n = settings.n
     if n > PLANAR_DIAGONAL_LIMIT:
@@ -280,7 +248,8 @@ def mermin_spectrum(settings: AnySettings) -> np.ndarray:
             f"closed-form spectrum for n={n} exceeds limit {PLANAR_DIAGONAL_LIMIT}"
         )
     (plus, minus), *rest = (_site_amplitudes(theta) for theta in settings.included_angles)
-    plus, minus = plus[:1], minus[:1]
+    phase = cmath.exp(1j * gamma)
+    plus, minus = plus[:1] * phase, minus[:1] * phase.conjugate()
     *rest, (alpha, beta) = rest
     for a, b in rest:
         plus = np.kron(plus, a)
@@ -348,11 +317,6 @@ def spectral_max_of_included_angles(thetas: Sequence[float]) -> float:
     return float(2 ** (n - 1)) * value
 
 
-def planar_spectral_max(planar: PlanarSettings) -> float:
-    """Largest eigenvalue of B^2 for planar settings, in closed form."""
-    return spectral_max_of_included_angles(planar.included_angles)
-
-
 # ---- degenerate settings and the reduction law ----------------------------
 
 
@@ -360,16 +324,15 @@ def planar_spectral_max(planar: PlanarSettings) -> float:
 class ReductionSpec:
     """Which particles get degenerate second directions n_j' = s_j n_j.
 
-    degenerate_indices are 1-based and sorted; signs line up with them.  Signs
-    must split evenly for even m; for odd m the counts differ by one and a
-    perpendicular_survivor (theta = pi/2 forced) is required so the surviving
-    anticommutator product vanishes.
+    degenerate_indices are 1-based and sorted; signs line up with them and
+    may be any mix of +1 and -1: with p of them +1 and q of them -1 the
+    collapsed operator is B at the phase pi (p - q) / 4 (see the module
+    docstring).
     """
 
     m: int
     degenerate_indices: tuple[int, ...] = ()
     signs: tuple[int, ...] = ()
-    perpendicular_survivor: int | None = None
 
     def validate(self, n: int) -> None:
         if not 0 <= self.m <= n - 3:
@@ -382,65 +345,37 @@ class ReductionSpec:
             raise ValueError("degenerate indices must be distinct")
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +1 or -1")
-        plus = sum(1 for s in self.signs if s == 1)
-        minus = self.m - plus
-        if self.m % 2 == 0:
-            if plus != minus:
-                raise ValueError("even m needs equally many +1 and -1 signs")
-        else:
-            if abs(plus - minus) != 1:
-                raise ValueError("odd m needs sign counts differing by exactly one")
-            if self.perpendicular_survivor is None:
-                raise ValueError("odd m requires a perpendicular survivor")
-        if self.perpendicular_survivor is not None:
-            j = self.perpendicular_survivor
-            if not 1 <= j <= n or j in self.degenerate_indices:
-                raise ValueError("perpendicular survivor must be a non-degenerate particle")
 
 
 def default_reduction_spec(n: int, m: int) -> ReductionSpec:
-    """Deterministic spec: last m particles degenerate, alternating signs from +1,
-    particle 1 as the perpendicular survivor when m is odd."""
+    """Deterministic spec: last m particles degenerate, alternating signs from +1."""
     indices = tuple(range(n - m + 1, n + 1))
     signs = tuple(1 if i % 2 == 0 else -1 for i in range(m))
-    spec = ReductionSpec(
-        m=m,
-        degenerate_indices=indices,
-        signs=signs,
-        perpendicular_survivor=1 if m % 2 else None,
-    )
+    spec = ReductionSpec(m=m, degenerate_indices=indices, signs=signs)
     spec.validate(n)
     return spec
 
 
-def degenerate_settings(
-    base: PlanarSettings, spec: ReductionSpec
-) -> MeasurementSettings:
-    """Apply a ReductionSpec to planar base angles.
+def degenerate_settings(base: AnySettings, spec: ReductionSpec) -> MeasurementSettings:
+    """Apply a ReductionSpec to base settings of either form.
 
-    Degenerate particles get n_j' = s_j n_j; the perpendicular survivor (if
-    any) gets phi_j' = phi_j + pi/2 overriding its base second angle; everyone
-    else keeps (phi_j, phi_j').  m = 0 is the plain planar-to-vector conversion.
+    Degenerate particles get n_j' = s_j n_j; everyone else keeps (n_j, n_j').
+    m = 0 is the plain conversion to direction pairs.
     """
     spec.validate(base.n)
-    sign_of = dict(zip(spec.degenerate_indices, spec.signs))
-    pairs = []
-    for j, (phi, phi_prime) in enumerate(base.angles, start=1):
-        a = UnitVector3.from_azimuth(phi)
-        if j in sign_of:
-            s = float(sign_of[j])
-            b = UnitVector3(s * a.x, s * a.y, s * a.z)
-        elif spec.perpendicular_survivor == j:
-            b = UnitVector3.from_azimuth(phi + math.pi / 2.0)
-        else:
-            b = UnitVector3.from_azimuth(phi_prime)
-        pairs.append(SettingPair(a, b))
+    if isinstance(base, PlanarSettings):
+        base = base.to_measurement_settings()
+    pairs = list(base.pairs)
+    for j, s in zip(spec.degenerate_indices, spec.signs):
+        a = pairs[j - 1].a
+        pairs[j - 1] = SettingPair(a, a if s == 1 else a.flipped())
     return MeasurementSettings(tuple(pairs))
 
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Outcome of one B^2(n|m) = 2^m B^2(n-m) check."""
+    """Outcome of one B^2(n|m) = 2^m B_gamma'^2(n-m) check; phase_shift is p - q,
+    so gamma' = phase_shift * pi / 4."""
 
     n: int
     m: int
@@ -454,22 +389,24 @@ class ReductionReport:
     max_abs_ratio: float
     degenerate_indices: tuple[int, ...]
     signs: tuple[int, ...]
-    perpendicular_survivor: int | None
+    phase_shift: int
 
 
-#: the coefficient compare holds the absolute --tol 1e-10 through n = 16; at
-#: n = 20 (m = 3) the residual reached 1.2e-10, as B^2 coefficients grow like 2^(n-1)
+#: the coefficient compare must hold the absolute --tol 1e-10, and B^2
+#: coefficients reach 2^(n-1): one rounding step there is 1.2e-10 at n = 20.
+#: Measured at m = 3, seed 1: 3.6e-12 at n = 16, 2.9e-11 at n = 18, 0.0 at n = 20
 REDUCTION_LIMIT = 16
 
 
-def reduction_check(base: PlanarSettings, spec: ReductionSpec) -> ReductionReport:
+def reduction_check(base: AnySettings, spec: ReductionSpec) -> ReductionReport:
     """Verify the collapse of B^2 when m single-particle commutators vanish.
 
     Builds the full operator from the degenerate settings, the reduced operator
-    from the surviving particles alone, and compares B_full^2 against
-    2^m * (reduced square padded with identities), coefficient by coefficient.
-    The largest eigenvalue of each operator comes from ``mermin_spectrum``,
-    and mu_max of its square is that eigenvalue squared.
+    from the surviving particles alone at the phase gamma' = pi (p - q) / 4,
+    and compares B_full^2 against 2^m * (reduced square padded with
+    identities), coefficient by coefficient.  The largest eigenvalue of each
+    operator comes from ``mermin_spectrum``, and mu_max of its square is that
+    eigenvalue squared.
     """
     n = base.n
     spec.validate(n)
@@ -480,13 +417,15 @@ def reduction_check(base: PlanarSettings, spec: ReductionSpec) -> ReductionRepor
 
     survivors = tuple(j for j in range(1, n + 1) if j not in spec.degenerate_indices)
     reduced = full.subset(survivors)
-    sq_reduced = mermin_square(reduced)
+    phase_shift = sum(spec.signs)
+    gamma = phase_shift * math.pi / 4.0
+    sq_reduced = mermin_square(reduced, gamma)
 
     factor = float(2**spec.m)
     residual = sq_full.max_coeff_diff(embed(sq_reduced, survivors, n).scale(factor))
 
     top_full = float(mermin_spectrum(full)[-1])
-    top_reduced = float(mermin_spectrum(reduced)[-1])
+    top_reduced = float(mermin_spectrum(reduced, gamma)[-1])
     return ReductionReport(
         n=n,
         m=spec.m,
@@ -500,5 +439,5 @@ def reduction_check(base: PlanarSettings, spec: ReductionSpec) -> ReductionRepor
         max_abs_ratio=top_full / top_reduced,
         degenerate_indices=spec.degenerate_indices,
         signs=spec.signs,
-        perpendicular_survivor=spec.perpendicular_survivor,
+        phase_shift=phase_shift,
     )

@@ -48,6 +48,11 @@ PRUNE_TOL = 1e-13
 #: default cap on dense conversions: 2^12 x 2^12 complex is ~256 MB
 DENSE_LIMIT = 12
 
+#: cap on the terms one ``tensor`` call forms, summed over its chains: a
+#: random-pairs B^2 or its expansion forms 2^(2n+1), 2^23 at n = 11 (peak RSS
+#: near 0.4 GiB), so the cap admits n = 11 and refuses n = 12
+TENSOR_LIMIT = 1 << 24
+
 # _CODE_LETTER maps a letter code to its ASCII byte and _LETTER_CODE maps the
 # byte back; 255 marks a byte that is no letter
 _CODE_LETTER = np.frombuffer(b"IZXY", dtype=np.uint8)
@@ -67,13 +72,6 @@ _KEY_MAX_N = 32
 _CHUNK_PAIRS = 4_000_000
 # dense conversion and statevector action transform this many entries at a time
 _CHUNK_ENTRIES = 1 << 18
-
-_SINGLE_MATS = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
 
 class ResourceLimitError(RuntimeError):
@@ -366,7 +364,8 @@ def tensor(sites: np.ndarray) -> PauliOperator:
     such chains and gives their sum, the coefficients under a string added
     in chain order; a chain's weight rides on its first row.  Entries at or
     below ``PRUNE_TOL`` are dropped before chaining, as a single-particle
-    operator would drop them.
+    operator would drop them.  More than ``TENSOR_LIMIT`` terms over all
+    chains raise ResourceLimitError before any is formed.
     """
     sites = np.asarray(sites, dtype=np.complex128)
     if sites.ndim not in (2, 3) or sites.shape[-1] != 4 or 0 in sites.shape:
@@ -375,13 +374,16 @@ def tensor(sites: np.ndarray) -> PauliOperator:
         raise ValueError("site coefficients must be finite")
     n = sites.shape[-2]
     _check_n(n)
+    keeps = np.abs(sites) > PRUNE_TOL
+    size = keeps.sum(axis=-1).prod(axis=-1, dtype=float).sum()
+    if size > TENSOR_LIMIT:
+        raise ResourceLimitError(f"tensor would form {size:.3g} terms, limit is {TENSOR_LIMIT}")
     codes = np.arange(4, dtype=np.uint64)
     chains = []
-    for chain in sites.reshape(-1, n, 4):
+    for chain, chain_keeps in zip(sites.reshape(-1, n, 4), keeps.reshape(-1, n, 4)):
         keys = np.zeros(1, dtype=np.uint64)
         coeffs = np.ones(1, dtype=np.complex128)
-        for row in chain:
-            keep = np.abs(row) > PRUNE_TOL
+        for row, keep in zip(chain, chain_keeps):
             keys = ((keys << np.uint64(2))[:, None] | codes[keep]).ravel()
             coeffs = (coeffs[:, None] * row[keep]).ravel()
         chains.append((keys, coeffs))
@@ -403,13 +405,6 @@ def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
 def anticommutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """{a, b} = a*b + b*a."""
     return _product(a, b) + _product(b, a)
-
-
-def single_spin_operator(direction: UnitVector3) -> PauliOperator:
-    """Spin component along ``direction``: d_x X + d_y Y + d_z Z (one particle)."""
-    return PauliOperator(
-        1, {"X": direction.x, "Y": direction.y, "Z": direction.z}
-    )
 
 
 def embed(op: PauliOperator, particles: Sequence[int], n: int) -> PauliOperator:
@@ -507,7 +502,3 @@ def apply_operator(op: PauliOperator, state: np.ndarray) -> np.ndarray:
         out += np.take_along_axis(diag, masks[:, None] ^ idx, axis=1).sum(axis=0)
     return out
 
-
-def dense_single(letter: str) -> np.ndarray:
-    """2x2 matrix for one Pauli letter (dense oracle used by tests)."""
-    return _SINGLE_MATS[letter].copy()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliOperator, ResourceLimitError, apply_operator
+from .pauli import ResourceLimitError, apply_operator
 from .settings import PlanarSettings
 from .bell import mermin_operator
 
@@ -67,17 +67,6 @@ def ghz_state(n: int, sign: int = 1, phase: float = 0.0) -> np.ndarray:
     state[0] = amp
     state[-1] = sign * amp * complex(math.cos(phase), math.sin(phase))
     return state
-
-
-def expectation(state: np.ndarray, op: PauliOperator) -> float:
-    """<state|op|state> for a Hermitian operator; an imaginary residue below
-    1e-10 is discarded."""
-    if not op.is_hermitian():
-        raise ValueError("expectation requires a Hermitian operator")
-    value = complex(np.vdot(state, apply_operator(op, state)))
-    if abs(value.imag) >= 1e-10:
-        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
-    return value.real
 
 
 def maximal_eigenvector_check(planar: PlanarSettings, sign: int = 1) -> float:

@@ -8,7 +8,9 @@ commutator expansion of B^2 is rebuilt subset by subset through the general
 product from the embedded commutators C_j, apart from the package's
 closed-form per-site rows.  Spectra come from a dense eigensolve, apart from
 the package's closed form.  Classical maxima are enumerated over all 4^n
-assignments, apart from the package's phase count.
+assignments, apart from the package's phase count.  The CHSH and three-particle
+operators are summed correlator by correlator, apart from the package's one
+phase-rotated chain B_gamma.
 """
 
 import math
@@ -16,18 +18,39 @@ from itertools import combinations
 
 import numpy as np
 
-from merminlab.pauli import (
-    PauliOperator,
-    anticommutator,
-    commutator,
-    dense_single,
-    embed,
-    single_spin_operator,
-)
+from merminlab.pauli import PauliOperator, anticommutator, apply_operator, commutator, embed
 from merminlab.settings import PlanarSettings
 from merminlab.spectra import LhvResult, SpectralReport
 
 LETTERS = "IXYZ"
+
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def dense_single(letter):
+    """2x2 matrix of one Pauli letter."""
+    return PAULI_MATRICES[letter].copy()
+
+
+def single_spin_operator(direction):
+    """Spin component along ``direction``: d_x X + d_y Y + d_z Z (one particle)."""
+    return PauliOperator(1, {"X": direction.x, "Y": direction.y, "Z": direction.z})
+
+
+def expectation(state, op):
+    """<state|op|state> for a Hermitian operator; an imaginary residue below
+    1e-10 is discarded."""
+    if not op.is_hermitian():
+        raise ValueError("expectation requires a Hermitian operator")
+    value = complex(np.vdot(state, apply_operator(op, state)))
+    if abs(value.imag) >= 1e-10:
+        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
+    return value.real
 
 
 def random_operator(n, num_terms, rng, real=False):
@@ -105,8 +128,9 @@ def eigen_hermitian(matrix, tol=1e-9):
     return SpectralReport.from_eigenvalues(np.linalg.eigvalsh(mat))
 
 
-def dense_bell_oracle(settings):
-    """Dense B = (prod(s_j + i s_j') - prod(s_j - i s_j')) / 2i from 2x2 matrices.
+def dense_bell_oracle(settings, gamma=0.0):
+    """Dense B = (e^(i gamma) prod(s_j + i s_j') - e^(-i gamma) prod(s_j - i s_j')) / 2i
+    from 2x2 matrices.
 
     Each factor is a sum of kron_dense letters, and the products are plain
     Kronecker products: 4^n work, where dense_oracle of the 3^n-term operator
@@ -120,7 +144,8 @@ def dense_bell_oracle(settings):
         )
         plus = np.kron(plus, sa + 1j * sb)
         minus = np.kron(minus, sa - 1j * sb)
-    return (plus - minus) / 2j
+    phase = np.exp(1j * gamma)
+    return (phase * plus - np.conj(phase) * minus) / 2j
 
 
 def site_commutators(settings):
@@ -147,27 +172,55 @@ def _fold_product(ops):
     return acc
 
 
-def subset_expansion_oracle(settings):
-    """Commutator expansion of B^2 summed over every subset, one product at a time.
+def _correlator_sum(settings, primed_rows):
+    """Sum of products over the sites j of sigma(n_j), or of sigma(n_j') where
+    the row of ``primed_rows`` is 1; the last product is negated."""
+    n = settings.n
+    products = [
+        _fold_product(
+            [
+                embed(single_spin_operator(pair.b if primed else pair.a), (j + 1,), n)
+                for j, (pair, primed) in enumerate(zip(settings.pairs, row))
+            ]
+        )
+        for row in primed_rows
+    ]
+    return products[0] + products[1] + products[2] - products[3]
 
-    2^(n-1) I + sum_k (-1)^k 2^(n-2k-1) sum_{|S|=2k} prod_{j in S} C_j, with
-    the closing (-1)^(n/2) (1/2) (prod_j C_j - prod_j A_j) for even n; every
-    subset product is folded through the general multiply.
+
+def chsh_operator(settings):
+    """sigma1 sigma2 + sigma1 sigma2' + sigma1' sigma2 - sigma1' sigma2', correlator by correlator."""
+    if settings.n != 2:
+        raise ValueError("chsh_operator needs exactly two particles")
+    return _correlator_sum(settings, ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+def three_particle_operator(settings):
+    """sigma1' s2 s3 + s1 sigma2' s3 + s1 s2 sigma3' - sigma1' sigma2' sigma3', correlator by correlator."""
+    if settings.n != 3:
+        raise ValueError("three_particle_operator needs exactly three particles")
+    return _correlator_sum(settings, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+
+
+def subset_expansion_oracle(settings, gamma=0.0):
+    """Commutator expansion of B_gamma^2 summed over every subset, one product at a time.
+
+    2^(n-1) I + sum_k (-1)^k 2^(n-2k-1) sum_{|S|=2k} prod_{j in S} C_j over
+    2 <= 2k <= n, plus -(1/2) Re(e^(2i gamma) i^n) prod_j A_j; at gamma = 0
+    that is Mermin's closing (-1)^(n/2) (1/2) (prod_j C_j - prod_j A_j) for
+    even n.  Every subset product is folded through the general multiply.
     """
     n = settings.n
     cs = site_commutators(settings)
     expansion = PauliOperator.identity(n, float(2 ** (n - 1)))
-    top = n - 1 if n % 2 else n - 2
-    for two_k in range(2, top + 1, 2):
-        coeff = float((-1) ** (two_k // 2) * 2 ** (n - two_k - 1))
+    for two_k in range(2, n + 1, 2):
+        coeff = (-1) ** (two_k // 2) * 2.0 ** (n - two_k - 1)
         group = PauliOperator.zero(n)
         for subset in combinations(range(n), two_k):
             group = group + _fold_product([cs[j] for j in subset])
         expansion = expansion + group.scale(coeff)
-    if n % 2 == 0:
-        closing = _fold_product(cs) - _fold_product(site_anticommutators(settings))
-        expansion = expansion + closing.scale(0.5 * (-1) ** (n // 2))
-    return expansion
+    scalar = -0.5 * (np.exp(2j * gamma) * 1j**n).real
+    return expansion + _fold_product(site_anticommutators(settings)).scale(scalar)
 
 
 def perpendicular_base(n):

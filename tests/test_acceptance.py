@@ -13,14 +13,11 @@ from merminlab.settings import PlanarSettings, random_planar, random_settings
 from merminlab.bell import (
     canonical_mermin,
     canonical_settings,
-    chsh_operator,
-    chsh_square_expansion,
     default_reduction_spec,
     mermin_square,
     mermin_square_expansion,
     planar_square_diagonal,
     reduction_check,
-    three_particle_operator,
 )
 from merminlab.spectra import (
     lhv_max,
@@ -29,7 +26,7 @@ from merminlab.spectra import (
 )
 from merminlab.optimize import OptimizeConfig, optimize_angles, quantum_ceiling
 
-from conftest import eigen_hermitian, perpendicular_base
+from conftest import chsh_operator, eigen_hermitian, perpendicular_base, three_particle_operator
 
 
 def verdict(name, ok, detail):
@@ -56,8 +53,10 @@ def test_01_square_expansion_identities():
 def test_02_two_and_three_particle_forms():
     """Small-n squares at 1e-12, canonical extremal eigenvalues at 1e-9."""
     rng = np.random.default_rng(20020)
+    # the two-particle square at CHSH's phase: CHSH is sqrt(2) B_(pi/4)
     worst2 = max(
-        chsh_square_expansion(random_settings(2, rng)).residual for _ in range(50)
+        mermin_square_expansion(random_settings(2, rng), math.pi / 4).residual
+        for _ in range(50)
     )
     worst3 = 0.0
     for _ in range(50):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
-from merminlab.pauli import PauliOperator, ResourceLimitError, embed, single_spin_operator, to_dense
+from merminlab.pauli import PauliOperator, ResourceLimitError, embed, to_dense
 from merminlab.settings import (
     MeasurementSettings,
     PlanarSettings,
@@ -20,34 +20,34 @@ from merminlab.settings import (
 from merminlab.bell import (
     canonical_mermin,
     canonical_settings,
-    chsh_operator,
-    chsh_square_expansion,
     default_reduction_spec,
     degenerate_settings,
     mermin_operator,
     mermin_spectrum,
     mermin_square,
     mermin_square_expansion,
-    planar_spectral_max,
     planar_square_diagonal,
-    three_particle_operator,
+    spectral_max_of_included_angles,
 )
 from merminlab.pauli import UnitVector3
 from merminlab.spectra import SpectralReport
 
 from conftest import (
+    chsh_operator,
     dense_bell_oracle,
     dense_oracle,
     eigen_hermitian,
     kron_dense,
     perpendicular_base,
+    single_spin_operator,
     site_anticommutators,
     site_commutators,
     subset_expansion_oracle,
+    three_particle_operator,
 )
 
 
-def mermin_literal(settings):
+def mermin_literal(settings, gamma=0.0):
     """The defining two-product form, built through the general multiply path."""
     n = settings.n
     plus = PauliOperator.identity(n)
@@ -57,7 +57,8 @@ def mermin_literal(settings):
         sb = embed(single_spin_operator(pair.b), (j + 1,), n)
         plus = plus * (sa + sb.scale(1j))
         minus = minus * (sa + sb.scale(-1j))
-    return (plus - minus).scale(-0.5j)
+    phase = complex(math.cos(gamma), math.sin(gamma))
+    return (plus.scale(phase) - minus.scale(phase.conjugate())).scale(-0.5j)
 
 
 class TestCanonicalForms:
@@ -92,7 +93,8 @@ class TestOperatorConstruction:
         rng = np.random.default_rng(21)
         for n in (2, 3, 4, 5):
             s = random_settings(n, rng)
-            assert mermin_operator(s).max_coeff_diff(mermin_literal(s)) < 1e-12
+            for gamma in (0.0, rng.uniform(-math.pi, math.pi)):
+                assert mermin_operator(s, gamma).max_coeff_diff(mermin_literal(s, gamma)) < 1e-12
 
     def test_always_hermitian(self):
         rng = np.random.default_rng(22)
@@ -134,9 +136,11 @@ class TestOperatorConstruction:
 
 class TestSquareExpansions:
     def test_chsh_square_residual(self):
+        # CHSH is sqrt(2) B_(pi/4)
         rng = np.random.default_rng(31)
         worst = max(
-            chsh_square_expansion(random_settings(2, rng)).residual for _ in range(25)
+            mermin_square_expansion(random_settings(2, rng), math.pi / 4).residual
+            for _ in range(25)
         )
         assert worst < 1e-12
 
@@ -170,7 +174,6 @@ class TestSquareExpansions:
         assert sorted(rep.group_term_counts) == list(range(2, top + 1, 2))
         for two_k, count in rep.group_term_counts.items():
             assert count == math.comb(n, two_k)
-        assert rep.final_term_count == (2 if n % 2 == 0 else 0)
 
     def test_expansion_constant_term(self):
         # odd n: exactly 2^(n-1); even n: the closing anticommutator product is
@@ -207,10 +210,16 @@ class TestSquareExpansions:
             want = PauliOperator.identity(4, 2.0 * pair.a.dot(pair.b))
             assert a.max_coeff_diff(want) < 1e-12
 
-    def test_expansion_rejects_small_n(self):
+    def test_expansion_at_two_particles(self):
+        # n = 2 needs no special case: at gamma = pi/4 twice the expansion is
+        # the CHSH square 4 I - C1 C2
         rng = np.random.default_rng(44)
-        with pytest.raises(ValueError):
-            mermin_square_expansion(random_settings(2, rng))
+        for _ in range(10):
+            s = random_settings(2, rng)
+            c1, c2 = site_commutators(s)
+            chsh_square = PauliOperator.identity(2, 4.0) - c1 * c2
+            got = mermin_square_expansion(s, math.pi / 4).expansion.scale(2.0)
+            assert got.max_coeff_diff(chsh_square) < 1e-12
 
 
 def _square_cases(n, rng):
@@ -225,6 +234,38 @@ def _square_cases(n, rng):
     ]
     cases += [degenerate_settings(base, default_reduction_spec(n, m)) for m in range(n - 2)]
     return cases
+
+
+class TestPhaseFamily:
+    """B_gamma = Im(e^(i gamma) P) at any phase, against correlator and dense oracles."""
+
+    def test_chsh_and_three_particle_forms_are_family_members(self):
+        # CHSH = sqrt(2) B_(pi/4) and the n = 3 correlator form is B_0
+        rng = np.random.default_rng(45)
+        for _ in range(20):
+            s2, s3 = random_settings(2, rng), random_settings(3, rng)
+            chsh = mermin_operator(s2, math.pi / 4).scale(math.sqrt(2.0))
+            assert chsh_operator(s2).max_coeff_diff(chsh) <= 1e-12
+            assert three_particle_operator(s3).max_coeff_diff(mermin_operator(s3)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_expansion_matches_factored_square(self, n):
+        rng = np.random.default_rng(460 + n)
+        for s in _square_cases(n, rng):
+            gamma = rng.uniform(-math.pi, math.pi)
+            report = mermin_square_expansion(s, gamma)
+            scale = np.max(np.abs(mermin_square(s, gamma).coeffs))
+            assert report.residual <= 1e-14 * scale, f"gamma={gamma}"
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_square_and_spectrum_match_dense_oracle(self, n):
+        rng = np.random.default_rng(480 + n)
+        for s in _square_cases(n, rng) + [_nonplanar_perpendicular(n, rng)]:
+            gamma = rng.uniform(-math.pi, math.pi)
+            b = dense_bell_oracle(s, gamma)
+            square = mermin_square(s, gamma)
+            assert np.max(np.abs((dense_oracle if n <= 4 else to_dense)(square) - b @ b)) < 1e-10
+            assert np.max(np.abs(mermin_spectrum(s, gamma) - np.linalg.eigvalsh(b))) < 1e-10
 
 
 #: 2-4 particles, each with two raw direction triples
@@ -251,12 +292,13 @@ class TestFactoredSquare:
             b = mermin_operator(s)
             assert mermin_square(s).max_coeff_diff(b * b) < 1e-10
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_expansion_matches_subset_oracle(self, n):
         rng = np.random.default_rng(410 + n)
         for s in _square_cases(n, rng):
-            got = mermin_square_expansion(s).expansion
-            assert got.max_coeff_diff(subset_expansion_oracle(s)) < 1e-10
+            for gamma in (0.0, rng.uniform(-math.pi, math.pi)):
+                got = mermin_square_expansion(s, gamma).expansion
+                assert got.max_coeff_diff(subset_expansion_oracle(s, gamma)) < 1e-10
 
     @hyp_settings(derandomize=True, database=None, deadline=None)
     @given(_PAIR_ROWS)
@@ -313,7 +355,8 @@ class TestPlanarClosedForms:
         for n in (3, 4, 6, 8):
             p = random_planar(n, rng)
             assert abs(
-                planar_spectral_max(p) - float(np.max(planar_square_diagonal(p)))
+                spectral_max_of_included_angles(p.included_angles)
+                - float(np.max(planar_square_diagonal(p)))
             ) < 1e-9
 
     def test_perpendicular_settings_diagonal_values(self):
@@ -331,7 +374,7 @@ class TestPlanarClosedForms:
         base = [math.pi / 2] * 4
         base[2] = 0.0
         p = PlanarSettings(tuple((0.0, t) for t in base))
-        assert abs(planar_spectral_max(p) - 2 ** (2 * 3) / 2) < 1e-9
+        assert abs(spectral_max_of_included_angles(p.included_angles) - 2 ** (2 * 3) / 2) < 1e-9
 
     def test_even_n_all_zero_angles(self):
         # n=4, all theta=0: closed form gives 2^(n-1)(1 - (-1)^(n/2) * 1) = 0
@@ -357,7 +400,7 @@ class TestPlanarClosedForms:
                 thetas[n - 1 - k] = 0.0
             p = PlanarSettings(tuple((0.0, t) for t in thetas))
             assert abs(
-                planar_spectral_max(p) - 2 ** (2 * (n - 1) - m)
+                spectral_max_of_included_angles(p.included_angles) - 2 ** (2 * (n - 1) - m)
             ) < 1e-9
 
 
@@ -452,12 +495,11 @@ class TestEitherSettingsForm:
         # UnitVector3.from_azimuth does, so both forms build the same bits
         planar = random_planar(n, np.random.default_rng(600 + n))
         vectors = planar.to_measurement_settings()
-        expansion = chsh_square_expansion if n == 2 else mermin_square_expansion
-        for build in (mermin_operator, mermin_square, lambda s: expansion(s).expansion):
+        for build in (mermin_operator, mermin_square, lambda s: mermin_square_expansion(s).expansion):
             got, want = build(planar), build(vectors)
             assert got.keys.tobytes() == want.keys.tobytes()
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
-        assert expansion(planar).residual == expansion(vectors).residual
+        assert mermin_square_expansion(planar).residual == mermin_square_expansion(vectors).residual
 
 
 class TestRotationInvariance:

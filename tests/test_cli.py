@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from merminlab import cli
-from merminlab.settings import PlanarSettings, random_settings, save_settings
+from merminlab.settings import PlanarSettings, random_planar, random_settings, save_settings
 
 
 def run_cli(*args):
@@ -160,6 +160,39 @@ class TestReduce:
         save_settings(path, PlanarSettings(((0.0, 1.0), (0.0, 1.0))))
         proc = run_cli("reduce", "--n", "5", "--m", "1", "--settings", str(path))
         assert proc.returncode == 2
+
+    def test_pairs_file(self, tmp_path):
+        path = tmp_path / "pairs.json"
+        save_settings(path, random_settings(6, np.random.default_rng(3)))
+        report, code = run_json("reduce", "--n", "6", "--m", "3", "--settings", str(path))
+        assert code == 0
+        assert report["overall_pass"] is True
+        red = report["reduction"]
+        # alternating signs +1, -1, +1: the reduced operator sits at phase pi/4
+        assert red["signs"] == [1, -1, 1]
+        assert red["phase_shift"] == 1
+        assert "perpendicular_survivor" not in red
+
+    def test_limit_checked_before_the_draw(self, monkeypatch):
+        # at n = 10^7 drawing the base angles alone took seconds
+        def refuse(n, rng):
+            raise AssertionError("random_planar called")
+
+        monkeypatch.setattr(cli, "random_planar", refuse)
+        code, _ = _run_in_process(["reduce", "--n", str(10**7), "--m", "1"])
+        assert code == 3
+
+    def test_every_accepted_constellation_passes(self, tmp_path):
+        # default alternating signs, no perpendicular survivor, either file form
+        rng = np.random.default_rng(4)
+        for n in range(3, 9):
+            planar, pairs = tmp_path / f"planar{n}.json", tmp_path / f"pairs{n}.json"
+            save_settings(planar, random_planar(n, rng))
+            save_settings(pairs, random_settings(n, rng))
+            for m in range(n - 2):
+                for path in (planar, pairs):
+                    argv = ["reduce", "--n", str(n), "--m", str(m), "--settings", str(path)]
+                    assert _run_in_process(argv + ["--no-timestamp"])[0] == 0, argv
 
 
 class TestSpectrum:

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from merminlab.bell import mermin_operator, planar_spectral_max
+from merminlab.bell import mermin_operator, spectral_max_of_included_angles
 from merminlab.settings import PlanarSettings, random_planar
-from merminlab.spectra import expectation, ghz_state
+from merminlab.spectra import ghz_state
 from merminlab.optimize import (
     CLOSED_FORMS,
     OptimizeConfig,
@@ -16,6 +16,8 @@ from merminlab.optimize import (
     optimize_angles,
     quantum_ceiling,
 )
+
+from conftest import expectation
 
 
 def perpendicular(n, phis=None):
@@ -75,7 +77,7 @@ class TestObjectives:
         rng = np.random.default_rng(502)
         p = random_planar(3, rng)
         assert objective_eval(p, "planar_spectral_max") == pytest.approx(
-            planar_spectral_max(p)
+            spectral_max_of_included_angles(p.included_angles)
         )
 
     def test_unknown_objective(self):

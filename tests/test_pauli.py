@@ -21,13 +21,18 @@ from merminlab.pauli import (
     commutator,
     embed,
     multiply,
-    single_spin_operator,
     tensor,
     to_dense,
 )
 from merminlab.settings import random_settings, random_unit_vector
 
-from conftest import dense_oracle, letter_product_oracle, random_operator
+from conftest import (
+    dense_oracle,
+    dense_single,
+    letter_product_oracle,
+    random_operator,
+    single_spin_operator,
+)
 
 
 class TestLetterProducts:
@@ -110,7 +115,7 @@ class TestTensor:
     @staticmethod
     def _dense_row(row):
         # columns are the letter codes I, Z, X, Y
-        return sum(c * pauli.dense_single(letter) for c, letter in zip(row, "IZXY"))
+        return sum(c * dense_single(letter) for c, letter in zip(row, "IZXY"))
 
     @staticmethod
     def _random_rows(n, rng):
@@ -125,6 +130,15 @@ class TestTensor:
             out = tensor(rows)
             assert out.n == n
             assert np.max(np.abs(dense_oracle(out) - want)) < 1e-12
+
+    def test_term_limit_checked_before_chaining(self):
+        # 4^13 terms in one chain, or 2 x 4^12 over a stack, exceed TENSOR_LIMIT;
+        # pruned entries do not count
+        with pytest.raises(ResourceLimitError):
+            tensor(np.ones((13, 4)))
+        with pytest.raises(ResourceLimitError):
+            tensor(np.ones((2, 12, 4)))
+        assert tensor(np.eye(4)[np.zeros(32, dtype=int)]).num_terms == 1
 
     def test_keys_come_out_sorted(self):
         rng = np.random.default_rng(113)

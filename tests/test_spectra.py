@@ -8,14 +8,9 @@ import pytest
 from merminlab.pauli import PauliOperator, apply_operator, to_dense
 from merminlab.settings import PlanarSettings, random_planar
 from merminlab.bell import canonical_mermin, canonical_settings, mermin_operator
-from merminlab.spectra import (
-    SpectralReport,
-    expectation,
-    ghz_state,
-    maximal_eigenvector_check,
-)
+from merminlab.spectra import SpectralReport, ghz_state, maximal_eigenvector_check
 
-from conftest import eigen_hermitian, random_operator
+from conftest import eigen_hermitian, expectation, random_operator
 
 
 def perpendicular_planar(n, rng=None):
