@@ -187,6 +187,19 @@ def mermin_square(settings: AnySettings, gamma: float = 0.0) -> PauliOperator:
     )
 
 
+def closing_scalar(settings: AnySettings, gamma: float = 0.0) -> float:
+    """The scalar -(1/2) Re(e^(2i gamma) i^n) prod_j A_j of B_gamma^2, A_j = 2 (n_j . n_j') I.
+
+    B_gamma^2's identity coefficient, which is sum |c|^2 over B_gamma's Pauli
+    coefficients, is 2^(n-1) plus this scalar.  At gamma = 0 the phase is
+    exactly 1, so for odd n the scalar is exactly zero.
+    """
+    a, b = settings.direction_arrays()
+    return -0.5 * (cmath.exp(2j * gamma) * 1j**settings.n).real * float(
+        np.prod(2.0 * np.einsum("ij,ij->i", a, b))
+    )
+
+
 def mermin_square_expansion(settings: AnySettings, gamma: float = 0.0) -> ExpansionReport:
     """Full commutator expansion of B_gamma^2 for any n, residual-checked.
 
@@ -200,11 +213,7 @@ def mermin_square_expansion(settings: AnySettings, gamma: float = 0.0) -> Expans
     cross = np.cross(a, b)
     # I + h_j and I - h_j, h_j = -(n_j x n_j') . sigma, each weighted 2^(n-1) / 2
     vectors, weights = [-cross, cross], [2.0 ** (n - 2)] * 2
-    # A_j = 2 (n_j . n_j') I; at gamma = 0 the phase is exactly 1, so for odd n
-    # the scalar is exactly zero and no identity chain is added
-    scalar = -0.5 * (cmath.exp(2j * gamma) * 1j**n).real * float(
-        np.prod(2.0 * np.einsum("ij,ij->i", a, b))
-    )
+    scalar = closing_scalar(settings, gamma)
     if scalar:
         vectors.append(np.zeros_like(cross))
         weights.append(scalar)
@@ -225,29 +234,28 @@ PLANAR_DIAGONAL_LIMIT = 24
 
 
 def _site_amplitudes(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """alpha(s), beta(s) = 1 +- (s |sin theta| + i cos theta) for s = +1, -1;
-    cos and |sin| of any planar theta_j are those of its angle in [0, pi]."""
-    c, s = math.cos(theta), abs(math.sin(theta))
+    """alpha(s), beta(s) = 1 +- (s sin theta + i cos theta) for s = +1, -1."""
+    c, s = math.cos(theta), math.sin(theta)
     return (
         np.array([complex(1.0 + s, c), complex(1.0 - s, c)]),
         np.array([complex(1.0 - s, -c), complex(1.0 + s, -c)]),
     )
 
 
-def mermin_spectrum(settings: AnySettings, gamma: float = 0.0) -> np.ndarray:
-    """All 2^n eigenvalues of B_gamma in ascending order, without a dense matrix.
+def _pair_moduli(thetas: Sequence[float], gamma: float = 0.0) -> np.ndarray:
+    """|e^(i gamma) prod_j alpha_j(s_j) - e^(-i gamma) prod_j beta_j(s_j)| / 2 for the
+    2^(n-1) states s with s_1 = +1, s_2 ... s_n in binary order with +1 first.
 
-    Each pair {|s>, |-s>} of Z product states contributes
-    +-|e^(i gamma) prod_j alpha_j(s_j) - e^(-i gamma) prod_j beta_j(s_j)| / 2
-    (see the module docstring); the two products are Kronecker chains of
-    per-site 2-vectors over the states with s_1 = +1, one from each pair.
+    The two products are Kronecker chains of per-site 2-vectors.  Flipping every
+    s_j conjugates both products and swaps them, so the state -s has the same
+    modulus, bit for bit.
     """
-    n = settings.n
+    n = len(thetas)
     if n > PLANAR_DIAGONAL_LIMIT:
         raise ResourceLimitError(
             f"closed-form spectrum for n={n} exceeds limit {PLANAR_DIAGONAL_LIMIT}"
         )
-    (plus, minus), *rest = (_site_amplitudes(theta) for theta in settings.included_angles)
+    (plus, minus), *rest = (_site_amplitudes(theta) for theta in thetas)
     phase = cmath.exp(1j * gamma)
     plus, minus = plus[:1] * phase, minus[:1] * phase.conjugate()
     *rest, (alpha, beta) = rest
@@ -264,6 +272,17 @@ def mermin_spectrum(settings: AnySettings, gamma: float = 0.0) -> np.ndarray:
     values = np.abs(diff).ravel()
     del diff
     values *= 0.5
+    return values
+
+
+def mermin_spectrum(settings: AnySettings, gamma: float = 0.0) -> np.ndarray:
+    """All 2^n eigenvalues of B_gamma in ascending order, without a dense matrix.
+
+    Each pair {|s>, |-s>} of Z product states contributes
+    +-|e^(i gamma) prod_j alpha_j(s_j) - e^(-i gamma) prod_j beta_j(s_j)| / 2
+    (see the module docstring), one modulus per pair.
+    """
+    values = _pair_moduli(settings.included_angles, gamma)
     values.sort()
     spectrum = np.empty(2 * len(values))
     np.negative(values[::-1], out=spectrum[: len(values)])
@@ -279,24 +298,13 @@ def planar_square_diagonal(planar: PlanarSettings) -> np.ndarray:
 
         2^(n-1) [ (prod(1 + sin(theta_j) z_j) + prod(1 - sin(theta_j) z_j)) / 2 - e ],
 
-    where e = (-1)^(n/2) prod(cos theta_j) for even n, 0 for odd n.
+    where e = (-1)^(n/2) prod(cos theta_j) for even n, 0 for odd n.  That is
+    the squared pair modulus of ``mermin_spectrum`` at s = z, and it is even in
+    z, so the half with z_1 = -1 is the half with z_1 = +1 reversed.
     """
-    n = planar.n
-    if n > PLANAR_DIAGONAL_LIMIT:
-        raise ResourceLimitError(
-            f"planar diagonal for n={n} exceeds limit {PLANAR_DIAGONAL_LIMIT}"
-        )
-    sines = [math.sin(t) for t in planar.included_angles]
-    plus = np.ones(1)
-    minus = np.ones(1)
-    for s in sines:
-        plus = np.kron(plus, np.array([1.0 + s, 1.0 - s]))
-        minus = np.kron(minus, np.array([1.0 - s, 1.0 + s]))
-    diag = 0.5 * (plus + minus)
-    if n % 2 == 0:
-        sign = -1.0 if (n // 2) % 2 else 1.0
-        diag = diag - sign * math.prod(math.cos(t) for t in planar.included_angles)
-    return float(2 ** (n - 1)) * diag
+    half = _pair_moduli(planar.included_angles)
+    half *= half
+    return np.concatenate((half, half[::-1]))
 
 
 def spectral_max_of_included_angles(thetas: Sequence[float]) -> float:
@@ -375,7 +383,8 @@ def degenerate_settings(base: AnySettings, spec: ReductionSpec) -> MeasurementSe
 @dataclass(frozen=True)
 class ReductionReport:
     """Outcome of one B^2(n|m) = 2^m B_gamma'^2(n-m) check; phase_shift is p - q,
-    so gamma' = phase_shift * pi / 4."""
+    so gamma' = phase_shift * pi / 4.  The ratios are None when the reduced
+    maximum is 0; the law then forces max_abs_full to 0."""
 
     n: int
     m: int
@@ -383,10 +392,10 @@ class ReductionReport:
     residual: float
     mu_max_full: float
     mu_max_reduced: float
-    mu_max_ratio: float
+    mu_max_ratio: float | None
     max_abs_full: float
     max_abs_reduced: float
-    max_abs_ratio: float
+    max_abs_ratio: float | None
     degenerate_indices: tuple[int, ...]
     signs: tuple[int, ...]
     phase_shift: int
@@ -433,10 +442,10 @@ def reduction_check(base: AnySettings, spec: ReductionSpec) -> ReductionReport:
         residual=residual,
         mu_max_full=top_full**2,
         mu_max_reduced=top_reduced**2,
-        mu_max_ratio=(top_full / top_reduced) ** 2,
+        mu_max_ratio=(top_full / top_reduced) ** 2 if top_reduced else None,
         max_abs_full=top_full,
         max_abs_reduced=top_reduced,
-        max_abs_ratio=top_full / top_reduced,
+        max_abs_ratio=top_full / top_reduced if top_reduced else None,
         degenerate_indices=spec.degenerate_indices,
         signs=spec.signs,
         phase_shift=phase_shift,

@@ -23,21 +23,17 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .pauli import PauliOperator, ResourceLimitError, to_dense
-from .settings import (
-    PlanarSettings,
-    load_settings,
-    random_planar,
-    random_settings,
-)
+from .pauli import ResourceLimitError, to_dense
+from .settings import PlanarSettings, load_settings, random_planar, random_settings
 from .bell import (
     REDUCTION_LIMIT,
+    closing_scalar,
     default_reduction_spec,
-    mermin_operator,
     mermin_spectrum,
     mermin_square,
     mermin_square_expansion,
@@ -68,39 +64,43 @@ def _tol_type(text: str) -> float:
     return value
 
 
-def _base_report(command: str, parameters: dict, args) -> dict:
-    report = {"command": command}
+def _base_report(args) -> dict:
+    """Command, timestamp and every option of the subcommand, in parser order."""
+    report = {"command": args.subcommand}
     if not args.no_timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    report["parameters"] = parameters
+    report["parameters"] = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("subcommand", "handler", "no_timestamp")
+    }
     return report
 
 
-class _CheckList:
-    """Accumulates named pass/fail checks with optional wall times."""
+def _run_checks(report: dict, args, trials: int, cases) -> tuple[dict, int]:
+    """Run (name, n, tol, residual) cases in order into report's checks and verdict.
 
-    def __init__(self, include_times: bool):
-        self.include_times = include_times
-        self.entries: list[dict] = []
-
-    def run(self, name: str, n: int, trials: int, tol: float, fn) -> None:
+    Each residual is a callable, so an entry's wall time covers its own work.
+    """
+    entries = []
+    for name, n, tol, residual in cases:
         start = time.perf_counter()
-        residual = float(fn())
+        value = float(residual())
         entry = {
             "name": name,
             "n": n,
             "trials": trials,
             "tol": tol,
-            "max_residual": residual,
-            "pass": bool(residual <= tol),
+            "max_residual": value,
+            "pass": bool(value <= tol),
         }
-        if self.include_times:
+        if not args.no_timestamp:
             entry["wall_time_s"] = round(time.perf_counter() - start, 6)
-        self.entries.append(entry)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(entry["pass"] for entry in self.entries)
+        entries.append(entry)
+    passed = all(entry["pass"] for entry in entries)
+    report["checks"] = entries
+    report["overall_pass"] = passed
+    return report, EXIT_PASS if passed else EXIT_FAIL
 
 
 # ---- verify ---------------------------------------------------------------
@@ -120,65 +120,29 @@ def cmd_verify(args) -> tuple[dict, int]:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     rng = np.random.default_rng(args.seed)
-    checks = _CheckList(include_times=not args.no_timestamp)
 
-    checks.run(
-        "chsh_square_expansion",
-        2,
-        args.trials,
-        args.tol,
+    def worst(n, draw, residual):
+        return lambda: max(residual(draw(n, rng)) for _ in range(args.trials))
+
+    def expansion(gamma=0.0):
+        return lambda settings: mermin_square_expansion(settings, gamma).residual
+
+    sizes = range(args.n_min, args.n_max + 1)
+    tol = args.tol
+    cases = [
         # CHSH is sqrt(2) B_(pi/4): the residual is half that of CHSH^2's expansion
-        lambda: max(
-            mermin_square_expansion(random_settings(2, rng), math.pi / 4.0).residual
-            for _ in range(args.trials)
+        ("chsh_square_expansion", 2, tol, worst(2, random_settings, expansion(math.pi / 4))),
+        ("three_particle_square_expansion", 3, tol, worst(3, random_settings, expansion())),
+        *(
+            ("mermin_square_expansion", n, tol, worst(n, random_settings, expansion()))
+            for n in sizes
         ),
-    )
-    checks.run(
-        "three_particle_square_expansion",
-        3,
-        args.trials,
-        args.tol,
-        lambda: max(
-            mermin_square_expansion(random_settings(3, rng)).residual
-            for _ in range(args.trials)
+        *(
+            ("planar_square_diagonal", n, tol, worst(n, random_planar, _planar_dense_residual))
+            for n in sizes
         ),
-    )
-    for n in range(args.n_min, args.n_max + 1):
-        checks.run(
-            "mermin_square_expansion",
-            n,
-            args.trials,
-            args.tol,
-            lambda n=n: max(
-                mermin_square_expansion(random_settings(n, rng)).residual
-                for _ in range(args.trials)
-            ),
-        )
-    for n in range(args.n_min, args.n_max + 1):
-        checks.run(
-            "planar_square_diagonal",
-            n,
-            args.trials,
-            args.tol,
-            lambda n=n: max(
-                _planar_dense_residual(random_planar(n, rng)) for _ in range(args.trials)
-            ),
-        )
-
-    report = _base_report(
-        "verify",
-        {
-            "n_min": args.n_min,
-            "n_max": args.n_max,
-            "trials": args.trials,
-            "seed": args.seed,
-            "tol": args.tol,
-        },
-        args,
-    )
-    report["checks"] = checks.entries
-    report["overall_pass"] = checks.all_passed
-    return report, EXIT_PASS if checks.all_passed else EXIT_FAIL
+    ]
+    return _run_checks(_base_report(args), args, args.trials, cases)
 
 
 # ---- table ----------------------------------------------------------------
@@ -188,20 +152,10 @@ def cmd_table(args) -> tuple[dict | str, int]:
     rows = violation_table(args.max_n)
     if args.format == "csv":
         lines = ["n,lhv_bound,quantum_max,ratio"]
-        lines.extend(
-            f"{r.n},{r.lhv_bound},{r.quantum_max},{r.ratio}" for r in rows
-        )
+        lines.extend(f"{r.n},{r.lhv_bound},{r.quantum_max},{r.ratio}" for r in rows)
         return "\n".join(lines), EXIT_PASS
-    report = _base_report("table", {"max_n": args.max_n}, args)
-    report["rows"] = [
-        {
-            "n": r.n,
-            "lhv_bound": r.lhv_bound,
-            "quantum_max": r.quantum_max,
-            "ratio": r.ratio,
-        }
-        for r in rows
-    ]
+    report = _base_report(args)
+    report["rows"] = [asdict(r) for r in rows]
     report["overall_pass"] = True
     return report, EXIT_PASS
 
@@ -220,74 +174,35 @@ def cmd_reduce(args) -> tuple[dict, int]:
             raise ValueError(f"settings file has n={base.n}, expected --n {args.n}")
     else:
         base = random_planar(args.n, rng)
-    spec = default_reduction_spec(args.n, args.m)
-    result = reduction_check(base, spec)
+    result = reduction_check(base, default_reduction_spec(args.n, args.m))
 
-    checks = _CheckList(include_times=not args.no_timestamp)
-    checks.run(
-        "square_collapse_residual", args.n, 1, args.tol, lambda: result.residual
-    )
+    def ratio_residual(ratio, expected):
+        # a zero reduced maximum leaves no ratio; the law then forces max_abs_full to 0
+        return lambda: result.max_abs_full if ratio is None else abs(ratio - expected) / expected
+
     expected_mu = float(2**args.m)
-    checks.run(
-        "mu_max_ratio",
-        args.n,
-        1,
-        1e-8,
-        lambda: abs(result.mu_max_ratio - expected_mu) / expected_mu,
-    )
-    expected_abs = math.sqrt(expected_mu)
-    checks.run(
-        "max_abs_ratio",
-        args.n,
-        1,
-        1e-8,
-        lambda: abs(result.max_abs_ratio - expected_abs) / expected_abs,
-    )
-
-    report = _base_report(
-        "reduce",
-        {
-            "n": args.n,
-            "m": args.m,
-            "seed": args.seed,
-            "tol": args.tol,
-            "settings": args.settings,
-        },
-        args,
-    )
+    report = _base_report(args)
     report["reduction"] = {
-        "factor": result.factor,
-        "residual": result.residual,
-        "mu_max_full": result.mu_max_full,
-        "mu_max_reduced": result.mu_max_reduced,
-        "mu_max_ratio": result.mu_max_ratio,
-        "max_abs_full": result.max_abs_full,
-        "max_abs_reduced": result.max_abs_reduced,
-        "max_abs_ratio": result.max_abs_ratio,
-        "degenerate_indices": list(result.degenerate_indices),
-        "signs": list(result.signs),
-        "phase_shift": result.phase_shift,
+        key: value for key, value in asdict(result).items() if key not in ("n", "m")
     }
-    report["checks"] = checks.entries
-    report["overall_pass"] = checks.all_passed
-    return report, EXIT_PASS if checks.all_passed else EXIT_FAIL
+    cases = [
+        ("square_collapse_residual", args.n, args.tol, lambda: result.residual),
+        ("mu_max_ratio", args.n, 1e-8, ratio_residual(result.mu_max_ratio, expected_mu)),
+        (
+            "max_abs_ratio",
+            args.n,
+            1e-8,
+            ratio_residual(result.max_abs_ratio, math.sqrt(expected_mu)),
+        ),
+    ]
+    return _run_checks(report, args, 1, cases)
 
 
 # ---- spectrum -------------------------------------------------------------
 
 
-#: spectrum lists every eigenvalue cluster (up to 2^n) and builds B's Pauli
-#: terms (up to 3^n) for its Parseval check
+#: spectrum lists every eigenvalue cluster, up to 2^n of them
 SPECTRUM_LIMIT = 12
-
-
-def _parseval_residual(eigenvalues: np.ndarray, op: PauliOperator) -> float:
-    """tr(B^2) two ways: sum of squared eigenvalues against 2^n sum |c|^2.
-
-    Relative to max(1, 2^n sum |c|^2): tr(B^2) grows to 2^(3n-2).
-    """
-    expected = 2.0**op.n * math.fsum(np.abs(op.coeffs) ** 2)
-    return abs(math.fsum(eigenvalues**2) - expected) / max(1.0, expected)
 
 
 def cmd_spectrum(args) -> tuple[dict, int]:
@@ -295,36 +210,31 @@ def cmd_spectrum(args) -> tuple[dict, int]:
     n = settings.n
     if n > SPECTRUM_LIMIT:
         raise ResourceLimitError(f"spectrum for n={n} exceeds limit {SPECTRUM_LIMIT}")
-    op = mermin_operator(settings)
     spectral = SpectralReport.from_eigenvalues(mermin_spectrum(settings))
     closed_form = spectral_max_of_included_angles(settings.included_angles)
+    # tr(B^2) = 2^n sum |c|^2 = 2^n times B^2's identity coefficient; it grows to
+    # 2^(3n-2), so the residual is relative to max(1, tr(B^2))
+    trace = 2.0**n * (2.0 ** (n - 1) + closing_scalar(settings))
 
-    checks = _CheckList(include_times=not args.no_timestamp)
-    checks.run(
-        "parseval_sum_of_squares",
-        n,
-        1,
-        args.tol,
-        lambda: _parseval_residual(spectral.eigenvalues, op),
-    )
-    checks.run(
-        "spectral_max_closed_form",
-        n,
-        1,
-        args.tol,
-        lambda: abs(spectral.max_abs**2 - closed_form) / max(1.0, closed_form),
-    )
-
-    report = _base_report(
-        "spectrum", {"settings": args.settings, "tol": args.tol}, args
-    )
+    report = _base_report(args)
     report["n"] = n
-    report["num_terms"] = op.num_terms
     report["max_abs_eigenvalue"] = spectral.max_abs
     report["clusters"] = [[value, count] for value, count in spectral.clusters]
-    report["checks"] = checks.entries
-    report["overall_pass"] = checks.all_passed
-    return report, EXIT_PASS if checks.all_passed else EXIT_FAIL
+    cases = [
+        (
+            "parseval_sum_of_squares",
+            n,
+            args.tol,
+            lambda: abs(math.fsum(spectral.eigenvalues**2) - trace) / max(1.0, trace),
+        ),
+        (
+            "spectral_max_closed_form",
+            n,
+            args.tol,
+            lambda: abs(spectral.max_abs**2 - closed_form) / max(1.0, closed_form),
+        ),
+    ]
+    return _run_checks(report, args, 1, cases)
 
 
 # ---- lhv ------------------------------------------------------------------
@@ -334,7 +244,7 @@ def cmd_lhv(args) -> tuple[dict, int]:
     result = lhv_max(args.n, args.family)
     closed_form = 2 if args.family == "chsh" else 2 ** (args.n // 2)
     matches = result.max_value == closed_form
-    report = _base_report("lhv", {"n": args.n, "family": args.family}, args)
+    report = _base_report(args)
     report["max_value"] = result.max_value
     report["closed_form"] = closed_form
     report["witness_a"] = list(result.witness_a)
@@ -348,9 +258,7 @@ def cmd_lhv(args) -> tuple[dict, int]:
 
 
 def cmd_optimize(args) -> tuple[dict, int]:
-    objective = {"spectral": "planar_spectral_max", "ghz": "ghz_expectation"}[
-        args.objective
-    ]
+    objective = {"spectral": "planar_spectral_max", "ghz": "ghz_expectation"}[args.objective]
     config = OptimizeConfig(
         n=args.n,
         objective=objective,
@@ -361,34 +269,8 @@ def cmd_optimize(args) -> tuple[dict, int]:
     result = optimize_angles(config)
     ceiling = quantum_ceiling(args.n, objective)
 
-    checks = _CheckList(include_times=not args.no_timestamp)
-    checks.run(
-        "within_quantum_ceiling",
-        args.n,
-        args.restarts,
-        1e-9,
-        lambda: max(0.0, result.best_value - ceiling),
-    )
-    checks.run(
-        "reaches_quantum_ceiling",
-        args.n,
-        args.restarts,
-        1e-6,
-        lambda: ceiling - result.best_value,
-    )
-
     thetas = result.best_angles.included_angles
-    report = _base_report(
-        "optimize",
-        {
-            "n": args.n,
-            "objective": objective,
-            "restarts": args.restarts,
-            "max_iters": args.max_iters,
-            "seed": args.seed,
-        },
-        args,
-    )
+    report = _base_report(args)
     report["best_value"] = result.best_value
     report["quantum_ceiling"] = ceiling
     report["best_index"] = result.best_index
@@ -400,9 +282,11 @@ def cmd_optimize(args) -> tuple[dict, int]:
     report["restart_values"] = [o.value for o in result.outcomes]
     report["restart_iterations"] = [o.iterations for o in result.outcomes]
     report["restart_evaluations"] = [o.evaluations for o in result.outcomes]
-    report["checks"] = checks.entries
-    report["overall_pass"] = checks.all_passed
-    return report, EXIT_PASS if checks.all_passed else EXIT_FAIL
+    cases = [
+        ("within_quantum_ceiling", args.n, 1e-9, lambda: max(0.0, result.best_value - ceiling)),
+        ("reaches_quantum_ceiling", args.n, 1e-6, lambda: ceiling - result.best_value),
+    ]
+    return _run_checks(report, args, args.restarts, cases)
 
 
 # ---- parser and entry point -----------------------------------------------
@@ -415,26 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def seed(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=_seed_type, default=0, help="RNG seed (unsigned 64-bit)")
-        p.add_argument(
-            "--no-timestamp",
-            action="store_true",
-            help="omit timestamp and wall times for byte-identical reruns",
-        )
 
     p = sub.add_parser("verify", help="squared-operator expansion residuals")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--trials", type=int, default=20, help="random settings per check")
     p.add_argument("--tol", type=_tol_type, default=1e-10)
-    common(p)
+    seed(p)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("table", help="classical bound vs quantum maximum per n")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    common(p)
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("reduce", help="vanishing-commutator collapse check")
@@ -442,19 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="degenerate particle count")
     p.add_argument("--settings", help="settings JSON (planar or pairs) for the base pairs")
     p.add_argument("--tol", type=_tol_type, default=1e-10)
-    common(p)
+    seed(p)
     p.set_defaults(handler=cmd_reduce)
 
     p = sub.add_parser("spectrum", help="eigenvalue clusters for a settings file")
     p.add_argument("--settings", required=True, help="settings JSON (planar or pairs)")
     p.add_argument("--tol", type=_tol_type, default=1e-9)
-    common(p)
     p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("lhv", help="classical maximum with a witness assignment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("mermin", "chsh"), default="mermin")
-    common(p)
     p.set_defaults(handler=cmd_lhv)
 
     p = sub.add_parser("optimize", help="maximize the quantum value over planar angles")
@@ -462,9 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("spectral", "ghz"), default="spectral")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iters", type=int, default=4000)
-    common(p)
+    seed(p)
     p.set_defaults(handler=cmd_optimize)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--no-timestamp",
+            action="store_true",
+            help="omit timestamp and wall times for byte-identical reruns",
+        )
     return parser
 
 
@@ -476,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if isinstance(payload, str):

@@ -20,6 +20,7 @@ from merminlab.settings import (
 from merminlab.bell import (
     canonical_mermin,
     canonical_settings,
+    closing_scalar,
     default_reduction_spec,
     degenerate_settings,
     mermin_operator,
@@ -189,6 +190,17 @@ class TestSquareExpansions:
             want = 2 ** (n - 1) - (-1.0) ** (n // 2) * 2 ** (n - 1) * dots
             assert abs(rep.expansion.coefficient("I" * n) - want) < 1e-10
 
+    def test_closing_scalar_gives_the_materialised_sum_of_squares(self):
+        # 2^(n-1) plus the closing scalar is B^2's identity coefficient, sum |c|^2 over B
+        rng = np.random.default_rng(42)
+        for n in range(2, 13):
+            for draw in (random_planar, random_settings):
+                for gamma in (0.0, float(rng.uniform(-math.pi, math.pi))):
+                    s = draw(n, rng)
+                    materialised = math.fsum(np.abs(mermin_operator(s, gamma).coeffs) ** 2)
+                    closed = 2.0 ** (n - 1) + closing_scalar(s, gamma)
+                    assert closed == pytest.approx(materialised, rel=1e-14, abs=0.0), (n, gamma)
+
     def test_commutator_products_order_insensitive(self):
         rng = np.random.default_rng(42)
         s = random_settings(5, rng)
@@ -349,6 +361,20 @@ class TestPlanarClosedForms:
             off_diag = square - np.diag(np.diag(square))
             assert np.max(np.abs(off_diag)) < 1e-9
             assert np.max(np.abs(np.diag(square).real - closed)) < 1e-9
+
+    def test_diagonal_matches_sine_products(self):
+        # the closed form, one Kronecker chain per sine product
+        rng = np.random.default_rng(63)
+        for n in range(2, 17):
+            p = random_planar(n, rng)
+            plus = minus = np.ones(1)
+            for t in p.included_angles:
+                plus = np.kron(plus, [1.0 + math.sin(t), 1.0 - math.sin(t)])
+                minus = np.kron(minus, [1.0 - math.sin(t), 1.0 + math.sin(t)])
+            closing = (-1.0) ** (n // 2) * math.prod(map(math.cos, p.included_angles))
+            want = 2.0 ** (n - 1) * (0.5 * (plus + minus) - (0.0 if n % 2 else closing))
+            got = planar_square_diagonal(p)
+            assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want)), n
 
     def test_spectral_max_equals_diagonal_max(self):
         rng = np.random.default_rng(61)

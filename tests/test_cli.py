@@ -1,5 +1,6 @@
 """End-to-end CLI runs: reports, exit codes, and reproducibility."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from merminlab import cli
 from merminlab.settings import PlanarSettings, random_planar, random_settings, save_settings
@@ -172,6 +173,17 @@ class TestReduce:
         assert red["signs"] == [1, -1, 1]
         assert red["phase_shift"] == 1
         assert "perpendicular_survivor" not in red
+
+    def test_zero_reduced_maximum(self, tmp_path):
+        # theta_j = 0 on every site makes B = 0: no ratio, and the law forces max_abs_full = 0
+        path = tmp_path / "zero.json"
+        save_settings(path, PlanarSettings(tuple((0.3, 0.3) for _ in range(4))))
+        report, code = run_json("reduce", "--n", "4", "--m", "0", "--settings", str(path))
+        assert code == 0
+        red = report["reduction"]
+        assert red["mu_max_ratio"] is None and red["max_abs_ratio"] is None
+        residuals = {c["name"]: c["max_residual"] for c in report["checks"]}
+        assert residuals["mu_max_ratio"] == residuals["max_abs_ratio"] == red["max_abs_full"]
 
     def test_limit_checked_before_the_draw(self, monkeypatch):
         # at n = 10^7 drawing the base angles alone took seconds
@@ -346,8 +358,45 @@ class TestGlobalFlags:
         assert proc.returncode == 2
 
     def test_seed_overflow_rejected(self):
-        proc = run_cli("lhv", "--n", "3", "--seed", str(2**64))
+        proc = run_cli("verify", "--n-min", "3", "--n-max", "3", "--seed", str(2**64))
         assert proc.returncode == 2
+        assert "seed must be an unsigned 64-bit integer" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command", [("table",), ("spectrum", "--settings", "s.json"), ("lhv", "--n", "3")]
+    )
+    def test_seed_only_where_it_is_read(self, command):
+        code, stderr = _run_in_process([*command, "--seed", "1"])
+        assert code == 2
+        assert "unrecognized arguments: --seed" in stderr
+
+    def test_parameters_echo_every_option(self, tmp_path):
+        path = tmp_path / "planar.json"
+        save_settings(path, PlanarSettings(((0.0, 1.0),) * 3))
+        argv = {
+            "verify": ["--n-min", "3", "--n-max", "3", "--trials", "1"],
+            "table": ["--max-n", "3", "--format", "json"],
+            "reduce": ["--n", "4", "--m", "1"],
+            "spectrum": ["--settings", str(path)],
+            "lhv": ["--n", "3"],
+            "optimize": ["--n", "3", "--restarts", "1"],
+        }
+        (subparsers,) = (
+            action
+            for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert sorted(subparsers.choices) == sorted(argv)
+        for name, parser in subparsers.choices.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main([name, *argv[name], "--no-timestamp"]) == 0, name
+            options = [
+                action.dest
+                for action in parser._actions
+                if action.option_strings and action.dest not in ("help", "no_timestamp")
+            ]
+            assert list(json.loads(out.getvalue())["parameters"]) == options, name
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, tol):
@@ -381,15 +430,15 @@ _JUNK = st.sampled_from(["", "x", "nan", "-inf", "1e400", "0x10", "-0", "--seed"
 _SEED = st.sampled_from(["0", "7", str(2**64 - 1), str(2**64), "-1"])
 _TOL = st.sampled_from(["0", "1e-10", "1e-20", "1", "-1", "inf", "nan"])
 
-# (required, optional) options per subcommand; sizes stay small enough that
-# one example takes well under a second
+# (required, optional) options per subcommand, --seed only where it is read;
+# sizes stay small enough that one example takes well under a second
 _OPTIONS = {
     "verify": (
         {"--trials": _number(-1, 2)},
-        {"--n-min": _number(1, 8), "--n-max": _number(1, 11), "--tol": _TOL},
+        {"--n-min": _number(1, 8), "--n-max": _number(1, 11), "--tol": _TOL, "--seed": _SEED},
     ),
     "table": ({}, {"--max-n": _number(-1, 40), "--format": st.sampled_from(["csv", "json", "xml"])}),
-    "reduce": ({"--n": _number(-1, 18), "--m": _number(-2, 15)}, {"--tol": _TOL}),
+    "reduce": ({"--n": _number(-1, 18), "--m": _number(-2, 15)}, {"--tol": _TOL, "--seed": _SEED}),
     "spectrum": ({}, {"--tol": _TOL}),
     "lhv": ({"--n": _number(-1, 40)}, {"--family": st.sampled_from(["mermin", "chsh", "ghz"])}),
     "optimize": (
@@ -398,6 +447,7 @@ _OPTIONS = {
             "--objective": st.sampled_from(["spectral", "ghz", "other"]),
             "--restarts": _number(-1, 2),
             "--max-iters": _number(-1, 40),
+            "--seed": _SEED,
         },
     ),
 }
@@ -409,6 +459,7 @@ _SETTINGS_FILES = {
     "too_big.json": {"n": 13, "planar": [{"phi": 0.0, "phi_prime": 1.5}] * 13},
     "mismatch.json": {"n": 4, "planar": [{"phi": 0.0, "phi_prime": 1.5}] * 3},
     "list.json": [1, 2, 3],
+    "zero.json": {"n": 4, "planar": [{"phi": 0.3, "phi_prime": 0.3}] * 4},
 }
 
 
@@ -418,6 +469,7 @@ def settings_dir(tmp_path_factory):
     for name, data in _SETTINGS_FILES.items():
         (root / name).write_text(json.dumps(data))
     (root / "broken.json").write_text('{"n": 3, "planar": [')
+    (root / "directory").mkdir()
     return root
 
 
@@ -427,7 +479,7 @@ def _argv(draw):
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     required, optional = (dict(options) for options in _OPTIONS[command])
     if command in ("reduce", "spectrum"):
-        names = sorted(_SETTINGS_FILES) + ["broken.json", "missing.json"]
+        names = sorted(_SETTINGS_FILES) + ["broken.json", "missing.json", "directory"]
         settings_file = st.sampled_from(names).map(lambda name: "@" + name)
         (required if command == "spectrum" else optional)["--settings"] = settings_file
     chosen = draw(st.fixed_dictionaries(required, optional=optional))
@@ -435,7 +487,6 @@ def _argv(draw):
     for flag, value in chosen.items():
         argv += [flag, value]
     argv += draw(st.sampled_from([[], ["--no-timestamp"]]))
-    argv += draw(st.one_of(st.just([]), _SEED.map(lambda seed: ["--seed", seed])))
     if draw(st.integers(0, 3)) == 0:
         argv[draw(st.integers(0, len(argv) - 1))] = draw(_JUNK)
     return argv
@@ -453,6 +504,9 @@ def _run_in_process(argv):
 
 @hyp_settings(derandomize=True, database=None, deadline=None)
 @given(_argv())
+# a zero reduced maximum, and a settings path that cannot be read as a file
+@example(["reduce", "--n", "4", "--m", "0", "--settings", "@zero.json"])
+@example(["spectrum", "--settings", "@directory"])
 def test_cli_fuzz_exit_codes(settings_dir, argv):
     argv = [str(settings_dir / arg[1:]) if arg.startswith("@") else arg for arg in argv]
     code, stderr = _run_in_process(argv)
