@@ -20,12 +20,13 @@ bit x (X or Y), the low bit the phase bit z (Z or Y), and the letter is
 i^(x z) X^x Z^z.  Keys hold 2n bits, so operators stop at n = 32.  Strings
 appear only where a caller reads or writes them: the dict constructor,
 ``coefficient``, ``repr`` and the derived ``terms`` mapping.  Products XOR
-keys and read their phase off bit-plane popcounts; sums add equal keys in
-4^n bins or merge them by sorting (``_summed``); a Kronecker chain of
-per-site coefficient rows (``tensor``) appends two bits per site and comes
-out sorted and free of repeats, and a stack of chains is summed in one pass;
-dense conversion and statevector action share one Walsh-Hadamard kernel
-(``_flip_blocks``).
+keys and read their phase off bit-plane popcounts; sums and products add the
+coefficients under equal keys by one stable sort (``_merged``); a Kronecker
+chain of per-site coefficient rows (``tensor``) appends two bits per site and
+comes out sorted and free of repeats, and a stack of chains shares one such
+key chain, over the codes any of its chains keeps; dense conversion and
+statevector action share one Walsh-Hadamard kernel (``_flip_blocks``).  Every
+operation that forms new coefficients rejects a non-finite one.
 
 Values are treated as immutable after construction (their arrays are
 read-only) and all operations are pure functions, so operators can be shared
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -48,9 +49,10 @@ PRUNE_TOL = 1e-13
 #: default cap on dense conversions: 2^12 x 2^12 complex is ~256 MB
 DENSE_LIMIT = 12
 
-#: cap on the terms one ``tensor`` call forms, summed over its chains: a
-#: random-pairs B^2 or its expansion forms 2^(2n+1), 2^23 at n = 11 (peak RSS
-#: near 0.4 GiB), so the cap admits n = 11 and refuses n = 12
+#: cap on the coefficients one ``tensor`` call forms: K chains times the
+#: product over sites of the codes any chain keeps there.  A random-pairs B^2
+#: (K = 4) forms 2^(2n+2), 2^24 at n = 11, so the cap admits n = 11 and
+#: refuses n = 12
 TENSOR_LIMIT = 1 << 24
 
 # _CODE_LETTER maps a letter code to its ASCII byte and _LETTER_CODE maps the
@@ -135,6 +137,9 @@ def _make(n: int, keys: np.ndarray, coeffs: np.ndarray) -> "PauliOperator":
 
 
 def _pruned(n: int, keys: np.ndarray, coeffs: np.ndarray) -> "PauliOperator":
+    # an overflow gives inf, or NaN once inf meets a zero, which the mask would drop
+    if not np.isfinite(coeffs).all():
+        raise ValueError("Pauli coefficients must be finite")
     keep = np.abs(coeffs) > PRUNE_TOL
     return _make(n, keys[keep], coeffs[keep])
 
@@ -179,8 +184,6 @@ class PauliOperator:
         terms = terms or {}
         strings = list(terms)
         coeffs = np.fromiter(map(complex, terms.values()), np.complex128, len(strings))
-        if not np.isfinite(coeffs).all():
-            raise ValueError("Pauli coefficients must be finite")
         keys = _keys_of(strings, n)
         order = np.argsort(keys)
         op = _pruned(n, keys[order], coeffs[order])
@@ -223,8 +226,8 @@ class PauliOperator:
         if not isinstance(other, PauliOperator):
             return NotImplemented
         self._check_same_n(other)
-        parts = ((self.keys, self.coeffs), (other.keys, other.coeffs))
-        return _summed(self.n, parts, self.num_terms + other.num_terms)
+        keys = np.concatenate((self.keys, other.keys))
+        return _pruned(self.n, *_merged(keys, np.concatenate((self.coeffs, other.coeffs))))
 
     def __sub__(self, other: "PauliOperator") -> "PauliOperator":
         if not isinstance(other, PauliOperator):
@@ -300,22 +303,6 @@ def _merged(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keys[first], sums
 
 
-def _summed(n: int, parts: Iterable[tuple[np.ndarray, np.ndarray]], size: int) -> PauliOperator:
-    """The operator summing the (keys, coefficients) parts, the coefficients
-    under a key added in input order.  ``size`` entries held at once (all
-    parts of a sum, one chunk of a product) fill 4^n bins indexed by key when
-    size >= 4^n, so the bins never outgrow them; fewer are merged by one sort."""
-    if size >= 1 << (2 * n):
-        acc = np.zeros(1 << (2 * n), dtype=np.complex128)
-        for keys, coeffs in parts:
-            idx = keys.view(np.int64)
-            acc.real += np.bincount(idx, weights=coeffs.real, minlength=acc.size)
-            acc.imag += np.bincount(idx, weights=coeffs.imag, minlength=acc.size)
-        keys = np.flatnonzero(np.abs(acc) > PRUNE_TOL)
-        return _make(n, keys.view(np.uint64), acc[keys])
-    return _pruned(n, *_merged(*(np.concatenate(part) for part in zip(*parts))))
-
-
 def _phase_count(keys: np.ndarray) -> np.ndarray:
     """Number of Y letters of every key, |x & z| per string."""
     return np.bitwise_count(keys & (keys >> _ONE) & _PHASE_BITS)
@@ -324,9 +311,11 @@ def _phase_count(keys: np.ndarray) -> np.ndarray:
 def _product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """a*b over all term pairs, in chunks of about ``_CHUNK_PAIRS`` pairs.
 
-    String (x1, z1) times (x2, z2) is string (x1 ^ x2, z1 ^ z2) = (x3, z3)
+    String (x1, z1) times (x2, z2) is string (x3, z3) = (x1 ^ x2, z1 ^ z2)
     times i^(|x1 & z1| + |x2 & z2| + 2|z1 & x2| - |x3 & z3|).  The counts are
-    uint8 and may wrap, which keeps them right mod 4.
+    uint8 and may wrap, which keeps them right mod 4.  Each chunk is merged,
+    then merged into the running sum, so one chunk of pairs and one set of
+    distinct keys are held at a time.
     """
     a._check_same_n(b)
     if not a.num_terms or not b.num_terms:
@@ -334,25 +323,23 @@ def _product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     ya, yb = _phase_count(a.keys), _phase_count(b.keys)
     flips_b = (b.keys >> _ONE) & _PHASE_BITS
     rows_per_chunk = max(1, _CHUNK_PAIRS // b.num_terms)
-
-    def chunks():
-        for start in range(0, a.num_terms, rows_per_chunk):
-            sl = slice(start, start + rows_per_chunk)
-            keys = a.keys[sl, None] ^ b.keys[None, :]
-            exponent = (
-                ya[sl, None]
-                + yb[None, :]
-                + 2 * np.bitwise_count(a.keys[sl, None] & flips_b[None, :])
-                - _phase_count(keys)
-            ) & 3
-            coeffs = a.coeffs[sl, None] * b.coeffs[None, :] * _PHASE_ARR[exponent]
-            yield keys.ravel(), coeffs.ravel()
-
-    size = min(a.num_terms, rows_per_chunk) * b.num_terms
-    if a.num_terms > rows_per_chunk and size < 1 << (2 * a.n):
-        # several chunks bound for the sort: each is merged first, so all pairs are never held
-        return _summed(a.n, (_merged(k, c) for k, c in chunks()), size)
-    return _summed(a.n, chunks(), size)
+    keys = np.zeros(0, dtype=np.uint64)
+    coeffs = np.zeros(0, dtype=np.complex128)
+    for start in range(0, a.num_terms, rows_per_chunk):
+        sl = slice(start, start + rows_per_chunk)
+        pair_keys = a.keys[sl, None] ^ b.keys[None, :]
+        exponent = (
+            ya[sl, None]
+            + yb[None, :]
+            + 2 * np.bitwise_count(a.keys[sl, None] & flips_b[None, :])
+            - _phase_count(pair_keys)
+        ) & 3
+        pair_coeffs = a.coeffs[sl, None] * b.coeffs[None, :] * _PHASE_ARR[exponent]
+        chunk_keys, chunk_coeffs = _merged(pair_keys.ravel(), pair_coeffs.ravel())
+        keys, coeffs = _merged(
+            np.concatenate((keys, chunk_keys)), np.concatenate((coeffs, chunk_coeffs))
+        )
+    return _pruned(a.n, keys, coeffs)
 
 
 def tensor(sites: np.ndarray) -> PauliOperator:
@@ -364,8 +351,10 @@ def tensor(sites: np.ndarray) -> PauliOperator:
     such chains and gives their sum, the coefficients under a string added
     in chain order; a chain's weight rides on its first row.  Entries at or
     below ``PRUNE_TOL`` are dropped before chaining, as a single-particle
-    operator would drop them.  More than ``TENSOR_LIMIT`` terms over all
-    chains raise ResourceLimitError before any is formed.
+    operator would drop them.  All chains share one key chain over the codes
+    any chain keeps at each site; more than ``TENSOR_LIMIT`` coefficients
+    over it (K times the key count) raise ResourceLimitError before any is
+    formed.
     """
     sites = np.asarray(sites, dtype=np.complex128)
     if sites.ndim not in (2, 3) or sites.shape[-1] != 4 or 0 in sites.shape:
@@ -374,22 +363,25 @@ def tensor(sites: np.ndarray) -> PauliOperator:
         raise ValueError("site coefficients must be finite")
     n = sites.shape[-2]
     _check_n(n)
-    keeps = np.abs(sites) > PRUNE_TOL
-    size = keeps.sum(axis=-1).prod(axis=-1, dtype=float).sum()
+    chains = sites.reshape(-1, n, 4)
+    chains = np.where(np.abs(chains) > PRUNE_TOL, chains, 0.0)
+    keeps = (chains != 0).any(axis=0)
+    size = len(chains) * keeps.sum(axis=-1).prod(dtype=float)
     if size > TENSOR_LIMIT:
-        raise ResourceLimitError(f"tensor would form {size:.3g} terms, limit is {TENSOR_LIMIT}")
+        raise ResourceLimitError(
+            f"tensor would form {size:.3g} coefficients, limit is {TENSOR_LIMIT}"
+        )
     codes = np.arange(4, dtype=np.uint64)
-    chains = []
-    for chain, chain_keeps in zip(sites.reshape(-1, n, 4), keeps.reshape(-1, n, 4)):
-        keys = np.zeros(1, dtype=np.uint64)
+    keys = np.zeros(1, dtype=np.uint64)
+    for keep in keeps:
+        keys = ((keys << np.uint64(2))[:, None] | codes[keep]).ravel()
+    total = np.zeros(len(keys), dtype=np.complex128)
+    for chain in chains:
         coeffs = np.ones(1, dtype=np.complex128)
-        for row, keep in zip(chain, chain_keeps):
-            keys = ((keys << np.uint64(2))[:, None] | codes[keep]).ravel()
+        for row, keep in zip(chain, keeps):
             coeffs = (coeffs[:, None] * row[keep]).ravel()
-        chains.append((keys, coeffs))
-    if sites.ndim == 2:
-        return _pruned(n, *chains[0])
-    return _summed(n, chains, sum(len(keys) for keys, _ in chains))
+        total += coeffs
+    return _pruned(n, keys, total)
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:

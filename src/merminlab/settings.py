@@ -214,7 +214,11 @@ def settings_from_json(data: dict) -> AnySettings:
 
 def load_settings(path: str | Path) -> AnySettings:
     with open(path, "r", encoding="utf-8") as fh:
-        return settings_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"settings file {path} nests too deeply to parse") from None
+    return settings_from_json(data)
 
 
 def save_settings(path: str | Path, settings: AnySettings) -> None:

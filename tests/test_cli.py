@@ -276,14 +276,15 @@ class TestSpectrum:
             '{"n": 3, "planar": 5}',
             '{"n": 2, "planar": [{"phi": NaN, "phi_prime": 0},'
             ' {"phi": 0, "phi_prime": 1}]}',
+            "[" * 100_000,
         ],
-        ids=["nan_component", "planar_not_a_list", "nan_phi"],
+        ids=["nan_component", "planar_not_a_list", "nan_phi", "deeply_nested"],
     )
     def test_bad_settings_are_contract_errors(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         commands = [("spectrum", "--settings", str(path))]
-        if "planar" in text:
+        if "pairs" not in text:
             commands.append(("reduce", "--n", "2", "--m", "1", "--settings", str(path)))
         for command in commands:
             proc = run_cli(*command)
@@ -460,6 +461,8 @@ _SETTINGS_FILES = {
     "mismatch.json": {"n": 4, "planar": [{"phi": 0.0, "phi_prime": 1.5}] * 3},
     "list.json": [1, 2, 3],
     "zero.json": {"n": 4, "planar": [{"phi": 0.3, "phi_prime": 0.3}] * 4},
+    # text as it is written: the parser recurses once per bracket
+    "deep.json": "[" * 100_000,
 }
 
 
@@ -467,7 +470,7 @@ _SETTINGS_FILES = {
 def settings_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz_settings")
     for name, data in _SETTINGS_FILES.items():
-        (root / name).write_text(json.dumps(data))
+        (root / name).write_text(data if isinstance(data, str) else json.dumps(data))
     (root / "broken.json").write_text('{"n": 3, "planar": [')
     (root / "directory").mkdir()
     return root
@@ -504,9 +507,11 @@ def _run_in_process(argv):
 
 @hyp_settings(derandomize=True, database=None, deadline=None)
 @given(_argv())
-# a zero reduced maximum, and a settings path that cannot be read as a file
+# a zero reduced maximum, a settings path that cannot be read as a file, and
+# a file nested too deeply to parse
 @example(["reduce", "--n", "4", "--m", "0", "--settings", "@zero.json"])
 @example(["spectrum", "--settings", "@directory"])
+@example(["reduce", "--n", "4", "--m", "1", "--settings", "@deep.json"])
 def test_cli_fuzz_exit_codes(settings_dir, argv):
     argv = [str(settings_dir / arg[1:]) if arg.startswith("@") else arg for arg in argv]
     code, stderr = _run_in_process(argv)

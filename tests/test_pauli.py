@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from merminlab import pauli
-from merminlab.bell import mermin_operator
+from merminlab.bell import mermin_operator, mermin_square
 from merminlab.pauli import (
     PauliOperator,
     ResourceLimitError,
@@ -132,13 +132,27 @@ class TestTensor:
             assert np.max(np.abs(dense_oracle(out) - want)) < 1e-12
 
     def test_term_limit_checked_before_chaining(self):
-        # 4^13 terms in one chain, or 2 x 4^12 over a stack, exceed TENSOR_LIMIT;
-        # pruned entries do not count
+        # 4^13 coefficients in one chain, or 2 chains over 4^12 shared keys, exceed
+        # TENSOR_LIMIT; pruned entries do not count
         with pytest.raises(ResourceLimitError):
             tensor(np.ones((13, 4)))
         with pytest.raises(ResourceLimitError):
             tensor(np.ones((2, 12, 4)))
         assert tensor(np.eye(4)[np.zeros(32, dtype=int)]).num_terms == 1
+
+    def test_limit_counts_every_chain_over_the_shared_keys(self, monkeypatch):
+        monkeypatch.setattr(pauli, "TENSOR_LIMIT", 4 * 4**5)
+        rng = np.random.default_rng(116)
+        # a random-pairs B^2 stacks 4 chains over all 4^n keys: 4 x 4^5 is not above the limit
+        assert mermin_square(random_settings(5, rng)).num_terms > 0
+        with pytest.raises(ResourceLimitError):
+            mermin_square(random_settings(6, rng))
+        # identity-only chains still take a coefficient for every shared key
+        stack = np.zeros((5, 5, 4))
+        stack[:, :, 0] = 1.0
+        stack[0] = 1.0
+        with pytest.raises(ResourceLimitError):
+            tensor(stack)
 
     def test_keys_come_out_sorted(self):
         rng = np.random.default_rng(113)
@@ -206,8 +220,9 @@ class TestLetterProductOracle:
     @pytest.mark.parametrize("chunk_pairs", [4_000_000, 700])
     @pytest.mark.parametrize(
         "n, terms",
-        # n = 7 sums into 4^n bins, n = 32 merges sorted keys and fills all 64 key bits
-        [(7, 60), (32, 65)],
+        # at 700 pairs a chunk, n = 3 folds three chunks into at most 4^3 keys; n = 7
+        # collides little; n = 32 fills all 64 key bits
+        [(3, 40), (7, 60), (32, 65)],
     )
     def test_matches_letter_oracle(self, monkeypatch, chunk_pairs, n, terms):
         monkeypatch.setattr(pauli, "_CHUNK_PAIRS", chunk_pairs)
@@ -415,6 +430,20 @@ class TestInputContract:
             PauliOperator(2, {"XX": 1.0}).scale(bad)
         with pytest.raises(ValueError):
             PauliOperator(2, {"XX": 1.0}) * bad
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflow_rejected(self):
+        # an overflowed product phase gives inf + NaN i, which pruning would drop silently
+        big = PauliOperator(1, {"X": 1e200})
+        overflows = [
+            lambda: big * big,
+            lambda: tensor(np.full((2, 4), 1e200)),
+            lambda: big.scale(1e200),
+            lambda: PauliOperator(1, {"X": 1e308}) + PauliOperator(1, {"X": 1e308}),
+        ]
+        for overflow in overflows:
+            with pytest.raises(ValueError):
+                overflow()
 
 
 _TINY = st.sampled_from([0.0, 1e-14, -1e-13, 1e-13j, complex(1e-13, 1e-13)])
