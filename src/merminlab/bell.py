@@ -314,15 +314,14 @@ def spectral_max_of_included_angles(thetas: Sequence[float]) -> float:
     which turns each sine factor into 1 + |sin theta_j|; the even-n closing
     term is a constant shift and does not move the argmax.
     """
+    plus = minus = 1.0
+    for t in thetas:
+        s = abs(math.sin(t))
+        plus *= 1.0 + s
+        minus *= 1.0 - s
     n = len(thetas)
-    abs_sines = [abs(math.sin(t)) for t in thetas]
-    value = 0.5 * (
-        math.prod(1.0 + s for s in abs_sines) + math.prod(1.0 - s for s in abs_sines)
-    )
-    if n % 2 == 0:
-        sign = -1.0 if (n // 2) % 2 else 1.0
-        value -= sign * math.prod(math.cos(t) for t in thetas)
-    return float(2 ** (n - 1)) * value
+    closing = (1j**n).real * math.prod(map(math.cos, thetas)) if n % 2 == 0 else 0.0
+    return float(2 ** (n - 1)) * (0.5 * (plus + minus) - closing)
 
 
 # ---- degenerate settings and the reduction law ----------------------------

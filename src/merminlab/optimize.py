@@ -2,9 +2,9 @@
 
 Both objectives depend only on the included angles theta_j = phi_j' - phi_j
 (rotating a pair rigidly changes neither), so the simplex runs over the free
-theta_j alone.  Every reported azimuth is phi_j = 0 with phi_j' = theta_j
-wrapped to (-pi, pi], and a pinned theta_j is exactly 0.  Each objective is
-one closed form in the tuple of included angles:
+theta_j alone, on lists of Python floats.  Every reported azimuth is phi_j = 0
+with phi_j' = theta_j wrapped to (-pi, pi], and a pinned theta_j is exactly 0.
+Each objective is one closed form in the tuple of included angles:
 
 * "planar_spectral_max"  — largest eigenvalue of B^2
   (``bell.spectral_max_of_included_angles``);
@@ -22,6 +22,8 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -33,9 +35,9 @@ def ghz_expectation_of_included_angles(thetas: Sequence[float]) -> float:
     """<GHZ|B|GHZ> at GHZ phase sum_j phi_j + pi/2, from the included angles."""
     w = 1.0 + 0.0j
     v = 1.0 + 0.0j
-    for theta in thetas:
-        w *= 1.0 + 1j * cmath.exp(1j * theta)
-        v *= 1.0 + 1j * cmath.exp(-1j * theta)
+    for e in (cmath.exp(1j * theta) for theta in thetas):
+        w *= 1.0 + 1j * e
+        v *= 1.0 + 1j * e.conjugate()
     return 0.5 * (v.real - w.real)
 
 
@@ -127,27 +129,28 @@ def _nelder_mead(func, x0, max_iters, value_tol, simplex_tol):
         return func(x)
 
     dim = len(x0)
-    simplex = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
-    simplex[1:] += 0.5 * np.eye(dim)
-    values = np.array([f(v) for v in simplex])
+    simplex = [list(x0)] + [[x + 0.5 * (i == j) for j, x in enumerate(x0)] for i in range(dim)]
+    values = [f(v) for v in simplex]
 
     iterations = 0
     converged = False
     while iterations < max_iters:
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
+        order = sorted(range(dim + 1), key=values.__getitem__)
+        simplex, values = [simplex[i] for i in order], [values[i] for i in order]
 
-        diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        if diameter < simplex_tol or values[-1] - values[0] < value_tol:
+        best, worst = simplex[0], simplex[-1]
+        diffs = (abs(a - b) for v in simplex[1:] for a, b in zip(v, best))
+        if values[-1] - values[0] < value_tol or all(d < simplex_tol for d in diffs):
             converged = True
             break
         iterations += 1
 
-        centroid = simplex[:-1].mean(axis=0)
-        reflected = centroid + (centroid - simplex[-1])
+        # each column summed row by row in order; sum() compensates from 3.12 on
+        centroid = [reduce(add, column) / dim for column in zip(*simplex[:-1])]
+        reflected = [c + (c - w) for c, w in zip(centroid, worst)]
         f_reflected = f(reflected)
         if f_reflected < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
+            expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             f_expanded = f(expanded)
             if f_expanded < f_reflected:
                 simplex[-1], values[-1] = expanded, f_expanded
@@ -156,19 +159,17 @@ def _nelder_mead(func, x0, max_iters, value_tol, simplex_tol):
         elif f_reflected < values[-2]:
             simplex[-1], values[-1] = reflected, f_reflected
         else:
-            if f_reflected < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid + 0.5 * (simplex[-1] - centroid)
+            toward = reflected if f_reflected < values[-1] else worst
+            contracted = [c + 0.5 * (t - c) for c, t in zip(centroid, toward)]
             f_contracted = f(contracted)
             if f_contracted < min(f_reflected, values[-1]):
                 simplex[-1], values[-1] = contracted, f_contracted
             else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                simplex[1:] = [[b + 0.5 * (a - b) for a, b in zip(v, best)] for v in simplex[1:]]
                 values[1:] = [f(v) for v in simplex[1:]]
 
-    best = int(np.argmin(values))
-    return simplex[best], float(values[best]), iterations, evaluations, converged
+    lowest = min(range(dim + 1), key=values.__getitem__)
+    return simplex[lowest], values[lowest], iterations, evaluations, converged
 
 
 def optimize_angles(config: OptimizeConfig) -> OptimizeResult:
@@ -184,19 +185,19 @@ def optimize_angles(config: OptimizeConfig) -> OptimizeResult:
     closed_form = CLOSED_FORMS[config.objective]
     free = [j for j in range(n) if j + 1 not in config.pinned_zero]
 
-    def included_angles(x: np.ndarray) -> list[float]:
+    def included_angles(x: list[float]) -> list[float]:
         thetas = [0.0] * n
-        for j, theta in zip(free, x.tolist()):
+        for j, theta in zip(free, x):
             thetas[j] = theta
         return thetas
 
-    def negated(x: np.ndarray) -> float:
+    def negated(x: list[float]) -> float:
         return -closed_form(included_angles(x))
 
     rng = np.random.default_rng(config.seed)
     outcomes = []
     for _ in range(config.restarts):
-        x0 = rng.uniform(-math.pi, math.pi, size=len(free))
+        x0 = rng.uniform(-math.pi, math.pi, size=len(free)).tolist()
         x_best, _, iterations, evaluations, converged = _nelder_mead(
             negated, x0, config.max_iters, _VALUE_TOL, _SIMPLEX_TOL
         )

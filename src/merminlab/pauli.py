@@ -313,9 +313,9 @@ def _product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
 
     String (x1, z1) times (x2, z2) is string (x3, z3) = (x1 ^ x2, z1 ^ z2)
     times i^(|x1 & z1| + |x2 & z2| + 2|z1 & x2| - |x3 & z3|).  The counts are
-    uint8 and may wrap, which keeps them right mod 4.  Each chunk is merged,
-    then merged into the running sum, so one chunk of pairs and one set of
-    distinct keys are held at a time.
+    uint8 and may wrap, which keeps them right mod 4.  Each chunk is merged;
+    the first is the running sum and each later one is merged into it, so one
+    chunk of pairs and one set of distinct keys are held at a time.
     """
     a._check_same_n(b)
     if not a.num_terms or not b.num_terms:
@@ -323,8 +323,6 @@ def _product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     ya, yb = _phase_count(a.keys), _phase_count(b.keys)
     flips_b = (b.keys >> _ONE) & _PHASE_BITS
     rows_per_chunk = max(1, _CHUNK_PAIRS // b.num_terms)
-    keys = np.zeros(0, dtype=np.uint64)
-    coeffs = np.zeros(0, dtype=np.complex128)
     for start in range(0, a.num_terms, rows_per_chunk):
         sl = slice(start, start + rows_per_chunk)
         pair_keys = a.keys[sl, None] ^ b.keys[None, :]
@@ -336,9 +334,11 @@ def _product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
         ) & 3
         pair_coeffs = a.coeffs[sl, None] * b.coeffs[None, :] * _PHASE_ARR[exponent]
         chunk_keys, chunk_coeffs = _merged(pair_keys.ravel(), pair_coeffs.ravel())
-        keys, coeffs = _merged(
-            np.concatenate((keys, chunk_keys)), np.concatenate((coeffs, chunk_coeffs))
-        )
+        if start:
+            chunk_keys, chunk_coeffs = _merged(
+                np.concatenate((keys, chunk_keys)), np.concatenate((coeffs, chunk_coeffs))
+            )
+        keys, coeffs = chunk_keys, chunk_coeffs
     return _pruned(a.n, keys, coeffs)
 
 

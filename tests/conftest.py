@@ -10,9 +10,12 @@ closed-form per-site rows.  Spectra come from a dense eigensolve, apart from
 the package's closed form.  Classical maxima are enumerated over all 4^n
 assignments, apart from the package's phase count.  The CHSH and three-particle
 operators are summed correlator by correlator, apart from the package's one
-phase-rotated chain B_gamma.
+phase-rotated chain B_gamma.  The optimizer's simplex and closed forms have
+numpy-array and ``math.prod`` twins here, the forms the package's float loops
+must reproduce bit for bit.
 """
 
+import cmath
 import math
 from itertools import combinations
 
@@ -256,3 +259,86 @@ def lhv_enumeration_oracle(n, family="mermin"):
         witness_a_prime=tuple(1 - 2 * ((best >> (2 * j + 1)) & 1) for j in range(n)),
         witness_encoding=best,
     )
+
+
+def nelder_mead_oracle(func, x0, max_iters, value_tol, simplex_tol):
+    """Minimize func; reflection 1, expansion 2, contraction 0.5, shrink 0.5.
+
+    The simplex is a numpy array: func gets one of its rows, and x_best is
+    one.  Converged when the simplex diameter drops below simplex_tol or the
+    function spread across vertices drops below value_tol.  Returns
+    (x_best, f(x_best), iterations, func evaluations, converged).
+    """
+    evaluations = 0
+
+    def f(x):
+        nonlocal evaluations
+        evaluations += 1
+        return func(x)
+
+    dim = len(x0)
+    simplex = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
+    simplex[1:] += 0.5 * np.eye(dim)
+    values = np.array([f(v) for v in simplex])
+
+    iterations = 0
+    converged = False
+    while iterations < max_iters:
+        order = np.argsort(values, kind="stable")
+        simplex, values = simplex[order], values[order]
+
+        diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
+        if diameter < simplex_tol or values[-1] - values[0] < value_tol:
+            converged = True
+            break
+        iterations += 1
+
+        centroid = simplex[:-1].mean(axis=0)
+        reflected = centroid + (centroid - simplex[-1])
+        f_reflected = f(reflected)
+        if f_reflected < values[0]:
+            expanded = centroid + 2.0 * (centroid - simplex[-1])
+            f_expanded = f(expanded)
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+        else:
+            if f_reflected < values[-1]:
+                contracted = centroid + 0.5 * (reflected - centroid)
+            else:
+                contracted = centroid + 0.5 * (simplex[-1] - centroid)
+            f_contracted = f(contracted)
+            if f_contracted < min(f_reflected, values[-1]):
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                values[1:] = [f(v) for v in simplex[1:]]
+
+    best = int(np.argmin(values))
+    return simplex[best], float(values[best]), iterations, evaluations, converged
+
+
+def spectral_max_oracle(thetas):
+    """Largest eigenvalue of planar B^2, one ``math.prod`` per product."""
+    n = len(thetas)
+    abs_sines = [abs(math.sin(t)) for t in thetas]
+    value = 0.5 * (
+        math.prod(1.0 + s for s in abs_sines) + math.prod(1.0 - s for s in abs_sines)
+    )
+    if n % 2 == 0:
+        sign = -1.0 if (n // 2) % 2 else 1.0
+        value -= sign * math.prod(math.cos(t) for t in thetas)
+    return float(2 ** (n - 1)) * value
+
+
+def ghz_expectation_oracle(thetas):
+    """<GHZ|B|GHZ> at phase sum phi_j + pi/2, one ``cmath.exp`` per sign of theta_j."""
+    w = 1.0 + 0.0j
+    v = 1.0 + 0.0j
+    for theta in thetas:
+        w *= 1.0 + 1j * cmath.exp(1j * theta)
+        v *= 1.0 + 1j * cmath.exp(-1j * theta)
+    return 0.5 * (v.real - w.real)

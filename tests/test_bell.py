@@ -377,13 +377,21 @@ class TestPlanarClosedForms:
             assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want)), n
 
     def test_spectral_max_equals_diagonal_max(self):
+        # random azimuths, and included angles within 0.35-0.65 of 0 or pi:
+        # there the sines are small and the even-n closing term 2^(n-1)
+        # Re(i^n) prod(cos theta_j) is far above 1e-13 of the maximum, so a
+        # wrong sign for n = 0 or 2 mod 4 would show
         rng = np.random.default_rng(61)
-        for n in (3, 4, 6, 8):
-            p = random_planar(n, rng)
-            assert abs(
-                spectral_max_of_included_angles(p.included_angles)
-                - float(np.max(planar_square_diagonal(p)))
-            ) < 1e-9
+        for n in range(3, 21):
+            thetas = rng.uniform(0.35, 0.65, n) * rng.choice((-1, 1), n)
+            thetas += math.pi * rng.integers(0, 2, n)
+            near_parallel = PlanarSettings(tuple((0.0, theta) for theta in thetas))
+            closing = 2.0 ** (n - 1) * math.prod(map(math.cos, thetas))
+            assert abs(closing) > 1e-9 * np.max(planar_square_diagonal(near_parallel))
+            for p in (random_planar(n, rng), near_parallel):
+                want = float(np.max(planar_square_diagonal(p)))
+                got = spectral_max_of_included_angles(p.included_angles)
+                assert abs(got - want) <= 1e-13 * want, (n, got, want)
 
     def test_perpendicular_settings_diagonal_values(self):
         # theta_j = pi/2 everywhere: diagonal has 2^(2(n-1)) twice, zero elsewhere

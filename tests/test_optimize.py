@@ -1,5 +1,6 @@
 """Angle optimization: objectives, restarts, determinism, and pinned decay."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,13 +12,19 @@ from merminlab.spectra import ghz_state
 from merminlab.optimize import (
     CLOSED_FORMS,
     OptimizeConfig,
+    RestartOutcome,
     _nelder_mead,
     objective_eval,
     optimize_angles,
     quantum_ceiling,
 )
 
-from conftest import expectation
+from conftest import (
+    expectation,
+    ghz_expectation_oracle,
+    nelder_mead_oracle,
+    spectral_max_oracle,
+)
 
 
 def perpendicular(n, phis=None):
@@ -153,22 +160,22 @@ class TestOptimizeAngles:
 
         def func(x):
             calls.append(x)
-            return float(np.sum((x - 0.3) ** 2))
+            return sum((t - 0.3) ** 2 for t in x)
 
         x, value, iterations, evaluations, converged = _nelder_mead(
-            func, np.zeros(3), 500, 1e-12, 1e-9
+            func, [0.0] * 3, 500, 1e-12, 1e-9
         )
         assert converged
         assert evaluations == len(calls)
         assert evaluations >= 4 + iterations
-        assert np.max(np.abs(x - 0.3)) < 1e-4
+        assert max(abs(t - 0.3) for t in x) < 1e-4
         assert value == func(x)
         # flat except at the start vertex: every iteration reflects, contracts
         # and shrinks, 2 + 3 evaluations, until the simplex is below 1e-9
         x, value, iterations, evaluations, converged = _nelder_mead(
-            lambda v: 0.0 if not v.any() else 1.0, np.zeros(3), 500, 1e-12, 1e-9
+            lambda v: 0.0 if not any(v) else 1.0, [0.0] * 3, 500, 1e-12, 1e-9
         )
-        assert converged and value == 0.0 and not x.any()
+        assert converged and value == 0.0 and not any(x)
         assert evaluations == 4 + 5 * iterations
         assert iterations == 29
         result = optimize_angles(OptimizeConfig(n=5, restarts=3, seed=6))
@@ -180,6 +187,40 @@ class TestOptimizeAngles:
         for phi, phi_prime in result.best_angles.angles:
             assert -math.pi < phi <= math.pi + 1e-12
             assert -math.pi < phi_prime <= math.pi + 1e-12
+
+
+class TestNumpyOracleBitIdentity:
+    """The float simplex and single-loop closed forms repeat the numpy-array
+    simplex and ``math.prod`` forms operation for operation, so every restart
+    matches them exactly, not approximately."""
+
+    @pytest.mark.parametrize(
+        "objective,n",
+        [("planar_spectral_max", n) for n in (3, 4, 5, 6, 7, 8, 12, 20)]
+        + [("ghz_expectation", n) for n in (3, 4, 5, 6, 7, 8, 12)],
+    )
+    def test_outcomes_equal_numpy_oracle(self, monkeypatch, objective, n):
+        def array_nelder_mead(func, x0, *args):
+            x, *rest = nelder_mead_oracle(lambda v: func(v.tolist()), np.asarray(x0), *args)
+            return x.tolist(), *rest
+
+        # every n = 20 restart runs to the 4000-iteration cap, so one will do
+        restarts = 1 if n == 20 else 2
+        configs = [
+            OptimizeConfig(n=n, objective=objective, restarts=restarts, seed=seed, pinned_zero=pins)
+            for seed in range(4)
+            for pins in sorted({(), (1, n - 1)[: n - 3]})
+        ]
+        got = [optimize_angles(config) for config in configs]
+        monkeypatch.setattr("merminlab.optimize._nelder_mead", array_nelder_mead)
+        monkeypatch.setitem(CLOSED_FORMS, "planar_spectral_max", spectral_max_oracle)
+        monkeypatch.setitem(CLOSED_FORMS, "ghz_expectation", ghz_expectation_oracle)
+        want = [optimize_angles(config) for config in configs]
+        for g, w in zip(got, want):
+            assert g.best_index == w.best_index and g.best_value == w.best_value
+            for a, b in zip(g.outcomes, w.outcomes, strict=True):
+                for field in dataclasses.fields(RestartOutcome):
+                    assert getattr(a, field.name) == getattr(b, field.name), field.name
 
 
 class TestPinnedAngles:
