@@ -97,10 +97,18 @@ def _rows(scalars, vectors: np.ndarray) -> np.ndarray:
     return np.column_stack((np.broadcast_to(scalars, len(vectors)), vectors[:, [2, 0, 1]]))
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_j x v_j for (n, 3) arrays, each component one product minus another,
+    in the order ``np.cross`` forms them, without its axis bookkeeping."""
+    return np.column_stack(
+        [u[:, i] * v[:, j] - u[:, j] * v[:, i] for i, j in ((1, 2), (2, 0), (0, 1))]
+    )
+
+
 def _spin_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``tensor`` rows of sigma(u_j) sigma(v_j) = (u_j . v_j) I + i (u_j x v_j) . sigma
     for (n, 3) complex direction arrays u and v."""
-    return _rows(np.einsum("ij,ij->i", u, v), 1j * np.cross(u, v))
+    return _rows(np.einsum("ij,ij->i", u, v), 1j * _cross(u, v))
 
 
 def _stack(chains, weights: list[complex]) -> np.ndarray:
@@ -173,17 +181,19 @@ def mermin_square(settings: AnySettings, gamma: float = 0.0) -> PauliOperator:
     P^2 and Pbar^2 are prod_j (+-2i n_j . n_j') times I, so they vanish when
     any pair is perpendicular.
     """
-    a, b = settings.direction_arrays()
+    return tensor(_square_stack(*settings.direction_arrays(), gamma))
+
+
+def _square_stack(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """``mermin_square``'s stack of four chains for the direction arrays a and b."""
     plus, minus = a + 1j * b, a - 1j * b
     phase = cmath.exp(2j * gamma)
-    return tensor(
-        _stack(
-            [
-                _spin_products(left, right)
-                for left, right in ((plus, plus), (minus, minus), (plus, minus), (minus, plus))
-            ],
-            [-0.25 * phase, -0.25 * phase.conjugate(), 0.25, 0.25],
-        )
+    return _stack(
+        [
+            _spin_products(left, right)
+            for left, right in ((plus, plus), (minus, minus), (plus, minus), (minus, plus))
+        ],
+        [-0.25 * phase, -0.25 * phase.conjugate(), 0.25, 0.25],
     )
 
 
@@ -194,8 +204,12 @@ def closing_scalar(settings: AnySettings, gamma: float = 0.0) -> float:
     coefficients, is 2^(n-1) plus this scalar.  At gamma = 0 the phase is
     exactly 1, so for odd n the scalar is exactly zero.
     """
-    a, b = settings.direction_arrays()
-    return -0.5 * (cmath.exp(2j * gamma) * 1j**settings.n).real * float(
+    return _closing_scalar(*settings.direction_arrays(), gamma)
+
+
+def _closing_scalar(a: np.ndarray, b: np.ndarray, gamma: float) -> float:
+    """``closing_scalar`` for the direction arrays a and b."""
+    return -0.5 * (cmath.exp(2j * gamma) * 1j ** len(a)).real * float(
         np.prod(2.0 * np.einsum("ij,ij->i", a, b))
     )
 
@@ -210,10 +224,10 @@ def mermin_square_expansion(settings: AnySettings, gamma: float = 0.0) -> Expans
     """
     n = settings.n
     a, b = settings.direction_arrays()
-    cross = np.cross(a, b)
+    cross = _cross(a, b)
     # I + h_j and I - h_j, h_j = -(n_j x n_j') . sigma, each weighted 2^(n-1) / 2
     vectors, weights = [-cross, cross], [2.0 ** (n - 2)] * 2
-    scalar = closing_scalar(settings, gamma)
+    scalar = _closing_scalar(a, b, gamma)
     if scalar:
         vectors.append(np.zeros_like(cross))
         weights.append(scalar)
@@ -223,7 +237,7 @@ def mermin_square_expansion(settings: AnySettings, gamma: float = 0.0) -> Expans
         n=n,
         expansion=expansion,
         group_term_counts={two_k: math.comb(n, two_k) for two_k in range(2, top + 1, 2)},
-        residual=expansion.max_coeff_diff(mermin_square(settings, gamma)),
+        residual=expansion.max_coeff_diff(tensor(_square_stack(a, b, gamma))),
     )
 
 

@@ -24,9 +24,13 @@ keys and read their phase off bit-plane popcounts; sums and products add the
 coefficients under equal keys by one stable sort (``_merged``); a Kronecker
 chain of per-site coefficient rows (``tensor``) appends two bits per site and
 comes out sorted and free of repeats, and a stack of chains shares one such
-key chain, over the codes any of its chains keeps; dense conversion and
-statevector action share one Walsh-Hadamard kernel (``_flip_blocks``).  Every
-operation that forms new coefficients rejects a non-finite one.
+key chain, over the codes any of its chains keeps, with each chain's
+coefficients added under it in stack order (a chain that keeps one code per
+site adds its one coefficient at its key); ``max_coeff_diff`` subtracts
+coefficients under equal keys found by binary search in the sorted arrays;
+dense conversion and statevector action share one Walsh-Hadamard kernel
+(``_flip_blocks``).  Every operation that forms new coefficients rejects a
+non-finite one.
 
 Values are treated as immutable after construction (their arrays are
 read-only) and all operations are pure functions, so operators can be shared
@@ -49,10 +53,10 @@ PRUNE_TOL = 1e-13
 #: default cap on dense conversions: 2^12 x 2^12 complex is ~256 MB
 DENSE_LIMIT = 12
 
-#: cap on the coefficients one ``tensor`` call forms: K chains times the
-#: product over sites of the codes any chain keeps there.  A random-pairs B^2
-#: (K = 4) forms 2^(2n+2), 2^24 at n = 11, so the cap admits n = 11 and
-#: refuses n = 12
+#: cap on the coefficients one ``tensor`` call counts: K chains times the
+#: product over sites of the codes any chain keeps there, whether or not a
+#: chain forms them.  A random-pairs B^2 (K = 4) counts 2^(2n+2), 2^24 at
+#: n = 11, so the cap admits n = 11 and refuses n = 12
 TENSOR_LIMIT = 1 << 24
 
 # _CODE_LETTER maps a letter code to its ASCII byte and _LETTER_CODE maps the
@@ -74,6 +78,9 @@ _KEY_MAX_N = 32
 _CHUNK_PAIRS = 4_000_000
 # dense conversion and statevector action transform this many entries at a time
 _CHUNK_ENTRIES = 1 << 18
+# a chain step writes column by column from this prefix length on, where one
+# call per kept code beats a broadcast call's short inner loops
+_COLUMN_PREFIX = 512
 
 
 class ResourceLimitError(RuntimeError):
@@ -137,10 +144,12 @@ def _make(n: int, keys: np.ndarray, coeffs: np.ndarray) -> "PauliOperator":
 
 
 def _pruned(n: int, keys: np.ndarray, coeffs: np.ndarray) -> "PauliOperator":
-    # an overflow gives inf, or NaN once inf meets a zero, which the mask would drop
-    if not np.isfinite(coeffs).all():
+    # an overflow gives inf, or NaN once inf meets a zero, which the mask would
+    # drop; |c| is inf or NaN whenever a part of c is, so one pass checks both
+    magnitudes = np.abs(coeffs)
+    if not np.isfinite(magnitudes).all():
         raise ValueError("Pauli coefficients must be finite")
-    keep = np.abs(coeffs) > PRUNE_TOL
+    keep = magnitudes > PRUNE_TOL
     return _make(n, keys[keep], coeffs[keep])
 
 
@@ -155,8 +164,12 @@ def _keys_of(strings: Sequence[str], n: int) -> np.ndarray:
     bad = (codes == 255).any(axis=1)
     if bad.any():
         raise ValueError(f"bad Pauli string {strings[int(bad.argmax())]!r} for n={n}")
-    weights = np.uint64(1) << np.arange(2 * (n - 1), -1, -2, dtype=np.uint64)
-    return codes @ weights
+    return codes @ _site_weights(n)
+
+
+def _site_weights(n: int) -> np.ndarray:
+    """Key weight 4^(n - j) of particle j's code, particle 1 first."""
+    return np.uint64(1) << np.arange(2 * (n - 1), -1, -2, dtype=np.uint64)
 
 
 def _strings(keys: np.ndarray, n: int) -> list[str]:
@@ -264,11 +277,18 @@ class PauliOperator:
     def max_coeff_diff(self, other: "PauliOperator") -> float:
         """Largest |coefficient difference| over the union of both term sets."""
         self._check_same_n(other)
-        _, diff = _merged(
-            np.concatenate((self.keys, other.keys)),
-            np.concatenate((self.coeffs, -other.coeffs)),
+        if np.array_equal(self.keys, other.keys):
+            return float(np.abs(self.coeffs - other.coeffs).max(initial=0.0))
+        # both key arrays are sorted and distinct: find each of other's keys in self's
+        at = np.searchsorted(self.keys, other.keys)
+        shared = at < self.num_terms
+        shared[shared] = self.keys[at[shared]] == other.keys[shared]
+        diff = self.coeffs.copy()
+        diff[at[shared]] -= other.coeffs[shared]
+        return max(
+            float(np.abs(diff).max(initial=0.0)),
+            float(np.abs(other.coeffs[~shared]).max(initial=0.0)),
         )
-        return float(np.abs(diff).max(initial=0.0))
 
     def approx_equal(self, other: "PauliOperator", tol: float = 1e-10) -> bool:
         return self.max_coeff_diff(other) <= tol
@@ -354,7 +374,11 @@ def tensor(sites: np.ndarray) -> PauliOperator:
     operator would drop them.  All chains share one key chain over the codes
     any chain keeps at each site; more than ``TENSOR_LIMIT`` coefficients
     over it (K times the key count) raise ResourceLimitError before any is
-    formed.
+    formed.  A chain forms a coefficient for every shared key only if it
+    keeps two codes at some site: one that keeps a single code at every site
+    is one string, whose one coefficient is added at its key, and one with an
+    all-zero site adds nothing.  Either way the bits equal those of the full
+    chain.
     """
     sites = np.asarray(sites, dtype=np.complex128)
     if sites.ndim not in (2, 3) or sites.shape[-1] != 4 or 0 in sites.shape:
@@ -365,8 +389,10 @@ def tensor(sites: np.ndarray) -> PauliOperator:
     _check_n(n)
     chains = sites.reshape(-1, n, 4)
     chains = np.where(np.abs(chains) > PRUNE_TOL, chains, 0.0)
-    keeps = (chains != 0).any(axis=0)
-    size = len(chains) * keeps.sum(axis=-1).prod(dtype=float)
+    kept = chains != 0
+    keeps = kept.any(axis=0)
+    widths = keeps.sum(axis=-1)
+    size = len(chains) * widths.prod(dtype=float)
     if size > TENSOR_LIMIT:
         raise ResourceLimitError(
             f"tensor would form {size:.3g} coefficients, limit is {TENSOR_LIMIT}"
@@ -374,14 +400,46 @@ def tensor(sites: np.ndarray) -> PauliOperator:
     codes = np.arange(4, dtype=np.uint64)
     keys = np.zeros(1, dtype=np.uint64)
     for keep in keeps:
-        keys = ((keys << np.uint64(2))[:, None] | codes[keep]).ravel()
+        keys = _chain_step(keys << np.uint64(2), codes[keep], np.bitwise_or)
+    # numpy's complex multiply may fuse multiply-adds over arrays but takes a
+    # lone (1, 1) element by the plain formula, and the two can round apart; a
+    # chain holds one coefficient up to the first site where two codes are kept
+    wide = np.flatnonzero(widths > 1)
+    lone = max(1, int(wide[0]) if wide.size else n)
     total = np.zeros(len(keys), dtype=np.complex128)
-    for chain in chains:
-        coeffs = np.ones(1, dtype=np.complex128)
-        for row, keep in zip(chain, keeps):
-            coeffs = (coeffs[:, None] * row[keep]).ravel()
-        total += coeffs
+    for chain, chain_kept, counts in zip(chains, kept, kept.sum(axis=-1).tolist()):
+        if 0 in counts:
+            continue  # an all-zero site zeroes the chain
+        if max(counts) == 1:
+            # one string: its entries multiplied left to right, as its chain would
+            values = chain[chain_kept]
+            coeff = np.multiply.reduce(values[:lone], keepdims=True)
+            for value in values[lone:]:
+                coeff = coeff * value
+            key = chain_kept.argmax(axis=-1).astype(np.uint64) @ _site_weights(n)
+            total[np.searchsorted(keys, key)] += coeff[0]
+        else:
+            coeffs = np.ones(1, dtype=np.complex128)
+            for row, keep in zip(chain, keeps):
+                coeffs = _chain_step(coeffs, row[keep], np.multiply)
+            total += coeffs
     return _pruned(n, keys, total)
+
+
+def _chain_step(prefix: np.ndarray, values: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """op(prefix[i], values[k]) at index i * len(values) + k.
+
+    A broadcast call runs its inner loop over the few values once per prefix
+    entry; from ``_COLUMN_PREFIX`` entries on, one call per value fills that
+    value's column in a single loop over the whole prefix instead.  Both give
+    the same bits.
+    """
+    if len(prefix) < _COLUMN_PREFIX:
+        return op(prefix[:, None], values).ravel()
+    out = np.empty((len(prefix), len(values)), dtype=prefix.dtype)
+    for k, value in enumerate(values):
+        op(prefix, value, out=out[:, k])
+    return out.ravel()
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:

@@ -12,7 +12,10 @@ assignments, apart from the package's phase count.  The CHSH and three-particle
 operators are summed correlator by correlator, apart from the package's one
 phase-rotated chain B_gamma.  The optimizer's simplex and closed forms have
 numpy-array and ``math.prod`` twins here, the forms the package's float loops
-must reproduce bit for bit.
+must reproduce bit for bit.  So do the chain-stack sum and the coefficient
+compare: ``tensor_oracle`` forms every chain over every shared key with
+broadcast products, and ``max_coeff_diff_oracle`` merges both term sets by a
+stable sort.
 """
 
 import cmath
@@ -21,6 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
+from merminlab import pauli
 from merminlab.pauli import PauliOperator, anticommutator, apply_operator, commutator, embed
 from merminlab.settings import PlanarSettings
 from merminlab.spectra import LhvResult, SpectralReport
@@ -342,3 +346,52 @@ def ghz_expectation_oracle(thetas):
         w *= 1.0 + 1j * cmath.exp(1j * theta)
         v *= 1.0 + 1j * cmath.exp(-1j * theta)
     return 0.5 * (v.real - w.real)
+
+
+def tensor_oracle(sites):
+    """Sum of a stack of Kronecker chains, every chain formed over every shared key.
+
+    The body, pruning included, is the package's first stack kernel: each
+    chain broadcasts its coefficients against each site's kept codes, zeros
+    and all, and is added to the running total in stack order.
+    """
+    sites = np.asarray(sites, dtype=np.complex128)
+    if sites.ndim not in (2, 3) or sites.shape[-1] != 4 or 0 in sites.shape:
+        raise ValueError(f"tensor needs (n, 4) or (K, n, 4) site coefficients, got {sites.shape}")
+    if not np.isfinite(sites).all():
+        raise ValueError("site coefficients must be finite")
+    n = sites.shape[-2]
+    pauli._check_n(n)
+    chains = sites.reshape(-1, n, 4)
+    chains = np.where(np.abs(chains) > pauli.PRUNE_TOL, chains, 0.0)
+    keeps = (chains != 0).any(axis=0)
+    size = len(chains) * keeps.sum(axis=-1).prod(dtype=float)
+    if size > pauli.TENSOR_LIMIT:
+        raise pauli.ResourceLimitError(
+            f"tensor would form {size:.3g} coefficients, limit is {pauli.TENSOR_LIMIT}"
+        )
+    codes = np.arange(4, dtype=np.uint64)
+    keys = np.zeros(1, dtype=np.uint64)
+    for keep in keeps:
+        keys = ((keys << np.uint64(2))[:, None] | codes[keep]).ravel()
+    total = np.zeros(len(keys), dtype=np.complex128)
+    for chain in chains:
+        coeffs = np.ones(1, dtype=np.complex128)
+        for row, keep in zip(chain, keeps):
+            coeffs = (coeffs[:, None] * row[keep]).ravel()
+        total += coeffs
+    if not np.isfinite(total).all():
+        raise ValueError("Pauli coefficients must be finite")
+    keep = np.abs(total) > pauli.PRUNE_TOL
+    return pauli._make(n, keys[keep], total[keep])
+
+
+def max_coeff_diff_oracle(a, b):
+    """Largest |coefficient difference| of two operators, both term sets merged
+    by one stable sort and summed under each key."""
+    a._check_same_n(b)
+    _, diff = pauli._merged(
+        np.concatenate((a.keys, b.keys)),
+        np.concatenate((a.coeffs, -b.coeffs)),
+    )
+    return float(np.abs(diff).max(initial=0.0))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
+from merminlab import bell
 from merminlab.pauli import PauliOperator, ResourceLimitError, embed, to_dense
 from merminlab.settings import (
     MeasurementSettings,
@@ -20,6 +21,7 @@ from merminlab.settings import (
 from merminlab.bell import (
     canonical_mermin,
     canonical_settings,
+    ReductionSpec,
     closing_scalar,
     default_reduction_spec,
     degenerate_settings,
@@ -39,11 +41,13 @@ from conftest import (
     dense_oracle,
     eigen_hermitian,
     kron_dense,
+    max_coeff_diff_oracle,
     perpendicular_base,
     single_spin_operator,
     site_anticommutators,
     site_commutators,
     subset_expansion_oracle,
+    tensor_oracle,
     three_particle_operator,
 )
 
@@ -548,3 +552,47 @@ class TestRotationInvariance:
             want = mermin_spectrum(planar)
             got = mermin_spectrum(s)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestChainStackOracle:
+    """The builders against themselves on the first chain-stack kernels, bit for bit."""
+
+    def test_cross_is_numpy_cross(self):
+        rng = np.random.default_rng(630)
+        a, b = rng.normal(size=(2, 9, 3))
+        c, d = a + 1j * rng.normal(size=(9, 3)), b - 1j * rng.normal(size=(9, 3))
+        for u, v in ((a, b), (c, d), (c, c)):
+            assert bell._cross(u, v).tobytes() == np.cross(u, v).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_builders_equal_oracle_kernels(self, n, monkeypatch):
+        rng = np.random.default_rng(640 + n)
+        cases = [random_settings(n, rng), random_planar(n, rng), canonical_settings(n)]
+        specs = []
+        if n >= 5:
+            # degenerate first particles: every chain keeps I alone there
+            spec = ReductionSpec(m=2, degenerate_indices=(1, 2), signs=(1, -1))
+            cases.append(degenerate_settings(cases[0], spec))
+            specs = [(cases[0], spec), (cases[1], default_reduction_spec(n, 2))]
+        gammas = (0.0, float(rng.uniform(-math.pi, math.pi)))
+
+        def build():
+            out = []
+            for s in cases:
+                for gamma in gammas:
+                    report = mermin_square_expansion(s, gamma)
+                    out += [mermin_operator(s, gamma), mermin_square(s, gamma), report.expansion]
+                    out.append(report.residual)
+            return out + [bell.reduction_check(base, spec) for base, spec in specs]
+
+        got = build()
+        monkeypatch.setattr(bell, "tensor", tensor_oracle)
+        monkeypatch.setattr(bell, "_cross", np.cross)
+        monkeypatch.setattr(PauliOperator, "max_coeff_diff", max_coeff_diff_oracle)
+        want = build()
+        for left, right in zip(got, want, strict=True):
+            if isinstance(left, PauliOperator):
+                assert left.keys.tobytes() == right.keys.tobytes()
+                assert left.coeffs.tobytes() == right.coeffs.tobytes()
+            else:
+                assert left == right

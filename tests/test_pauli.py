@@ -30,8 +30,10 @@ from conftest import (
     dense_oracle,
     dense_single,
     letter_product_oracle,
+    max_coeff_diff_oracle,
     random_operator,
     single_spin_operator,
+    tensor_oracle,
 )
 
 
@@ -147,7 +149,8 @@ class TestTensor:
         assert mermin_square(random_settings(5, rng)).num_terms > 0
         with pytest.raises(ResourceLimitError):
             mermin_square(random_settings(6, rng))
-        # identity-only chains still take a coefficient for every shared key
+        # identity-only chains count toward the limit over every shared key, though
+        # they are not formed
         stack = np.zeros((5, 5, 4))
         stack[:, :, 0] = 1.0
         stack[0] = 1.0
@@ -212,6 +215,82 @@ class TestTensor:
         for shape in [(0, 4), (2, 3), (4,), (2, 4, 1), (0, 3, 4), (2, 0, 4), (2, 3, 3), (1, 2, 3, 4)]:
             with pytest.raises(ValueError):
                 tensor(np.ones(shape))
+
+
+class TestChainStackOracle:
+    """tensor and max_coeff_diff against their first forms in conftest, bit for bit."""
+
+    @staticmethod
+    def _chain(kind, n, rng):
+        rows = np.zeros((n, 4), dtype=complex)
+        values = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        if kind == "full":
+            rows = values * (rng.random((n, 4)) < 0.7)
+            rows[rng.integers(n), rng.integers(4)] = pauli.PRUNE_TOL
+        elif kind == "identity":
+            rows[:, 0] = values[:, 0]
+        elif kind == "string":
+            # one code per site, not all of them identity, so the key is not 0
+            codes = rng.integers(0, 4, size=n)
+            codes[rng.integers(n)] = rng.integers(1, 4)
+            rows[np.arange(n), codes] = values[np.arange(n), codes]
+        elif kind == "planar":
+            # I and Z only: a strict subset of the codes a full chain keeps
+            rows[:, :2] = values[:, :2]
+        elif kind == "zero":
+            rows = values.copy()
+            rows[rng.integers(n)] = 0.0
+        elif kind == "pruned":
+            # a string whose one entry at a site sits exactly at PRUNE_TOL
+            rows[:, 0] = values[:, 0]
+            rows[rng.integers(n)] = [0.0, 0.0, -pauli.PRUNE_TOL, 0.0]
+        return rows
+
+    def _stacks(self, rng):
+        kinds = ["full", "identity", "string", "planar", "zero", "pruned"]
+        for n in range(1, 11):
+            for k in range(1, 8):
+                # from n = 8 on, at most two chains form the 4^n shared keys
+                picks = [str(kind) for kind in rng.choice(kinds, size=k)]
+                if n >= 8:
+                    full = [i for i, kind in enumerate(picks) if kind in ("full", "zero")]
+                    for i in full[2:]:
+                        picks[i] = "string"
+                yield np.stack([self._chain(kind, n, rng) for kind in picks])
+            # strings ahead of two full chains, as mermin_square stacks them
+            stack = np.stack([self._chain(kind, n, rng) for kind in ("string", "identity", "full", "full")])
+            yield stack
+            if n > 2:
+                # every chain keeps I alone on the first two sites, as at degenerate
+                # particles: the shared chain holds lone coefficients there
+                stack[:, :2, 1:] = 0.0
+                stack[:, :2, 0] = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+                yield stack
+
+    def test_tensor_bits_equal_oracle(self):
+        rng = np.random.default_rng(117)
+        for stack in self._stacks(rng):
+            out, want = tensor(stack), tensor_oracle(stack)
+            assert out.keys.tobytes() == want.keys.tobytes()
+            assert out.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_max_coeff_diff_equals_oracle(self):
+        rng = np.random.default_rng(118)
+        for n in (1, 3, 6):
+            a = random_operator(n, 40, rng)
+            terms = dict(a.terms)
+            strings = list(terms)
+            near = PauliOperator(n, {s: c * (1 + 1e-9 * rng.normal()) for s, c in terms.items()})
+            subset = PauliOperator(n, {s: terms[s] + 0.5 for s in strings[::3]})
+            every = map("".join, itertools.product("IXYZ", repeat=n))
+            disjoint = PauliOperator(n, {s: 1.0 for s in every if s not in terms})
+            overlap = subset + disjoint
+            zero = PauliOperator.zero(n)
+            cases = [(a, a), (a, near), (a, subset), (a, disjoint), (a, overlap), (a, zero), (zero, zero)]
+            assert np.array_equal(a.keys, near.keys)
+            for left, right in cases:
+                assert left.max_coeff_diff(right) == max_coeff_diff_oracle(left, right)
+                assert right.max_coeff_diff(left) == max_coeff_diff_oracle(right, left)
 
 
 class TestLetterProductOracle:
@@ -444,6 +523,13 @@ class TestInputContract:
         for overflow in overflows:
             with pytest.raises(ValueError):
                 overflow()
+
+    def test_magnitude_overflow_rejected(self):
+        # finite parts whose magnitude overflows: |c| is inf, so the one finite
+        # test over the magnitudes rejects c as it rejects an infinite part
+        with pytest.raises(ValueError, match="finite"):
+            PauliOperator(1, {"X": complex(1.5e308, 1.5e308)})
+        assert PauliOperator(1, {"X": complex(1e308, 1e308)}).num_terms == 1
 
 
 _TINY = st.sampled_from([0.0, 1e-14, -1e-13, 1e-13j, complex(1e-13, 1e-13)])
