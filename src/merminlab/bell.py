@@ -89,20 +89,12 @@ from .pauli import (
     embed,
     tensor,
 )
-from .settings import AnySettings, MeasurementSettings, PlanarSettings, SettingPair
+from .settings import AnySettings, MeasurementSettings, PlanarSettings, SettingPair, _cross
 
 
 def _rows(scalars, vectors: np.ndarray) -> np.ndarray:
     """``tensor`` rows of s_j I + w_j . sigma, site j in row j - 1: columns I, Z, X, Y."""
     return np.column_stack((np.broadcast_to(scalars, len(vectors)), vectors[:, [2, 0, 1]]))
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u_j x v_j for (n, 3) arrays, each component one product minus another,
-    in the order ``np.cross`` forms them, without its axis bookkeeping."""
-    return np.column_stack(
-        [u[:, i] * v[:, j] - u[:, j] * v[:, i] for i, j in ((1, 2), (2, 0), (0, 1))]
-    )
 
 
 def _spin_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -260,7 +252,8 @@ def _pair_moduli(thetas: Sequence[float], gamma: float = 0.0) -> np.ndarray:
     """|e^(i gamma) prod_j alpha_j(s_j) - e^(-i gamma) prod_j beta_j(s_j)| / 2 for the
     2^(n-1) states s with s_1 = +1, s_2 ... s_n in binary order with +1 first.
 
-    The two products are Kronecker chains of per-site 2-vectors.  Flipping every
+    The two products are Kronecker chains of per-site 2-vectors, each step one
+    outer product, which forms the bits of ``np.kron``.  Flipping every
     s_j conjugates both products and swaps them, so the state -s has the same
     modulus, bit for bit.
     """
@@ -274,8 +267,8 @@ def _pair_moduli(thetas: Sequence[float], gamma: float = 0.0) -> np.ndarray:
     plus, minus = plus[:1] * phase, minus[:1] * phase.conjugate()
     *rest, (alpha, beta) = rest
     for a, b in rest:
-        plus = np.kron(plus, a)
-        minus = np.kron(minus, b)
+        plus = np.multiply.outer(plus, a).ravel()
+        minus = np.multiply.outer(minus, b).ravel()
     # the last site goes straight into the difference, one column per s_n, so
     # neither full chain is ever held and the result is the only large array left
     diff = np.empty((len(plus), 2), dtype=np.complex128)
@@ -427,8 +420,8 @@ def reduction_check(base: AnySettings, spec: ReductionSpec) -> ReductionReport:
     from the surviving particles alone at the phase gamma' = pi (p - q) / 4,
     and compares B_full^2 against 2^m * (reduced square padded with
     identities), coefficient by coefficient.  The largest eigenvalue of each
-    operator comes from ``mermin_spectrum``, and mu_max of its square is that
-    eigenvalue squared.
+    operator is its largest pair modulus (``mermin_spectrum`` without the sort),
+    and mu_max of its square is that eigenvalue squared.
     """
     n = base.n
     spec.validate(n)
@@ -446,8 +439,8 @@ def reduction_check(base: AnySettings, spec: ReductionSpec) -> ReductionReport:
     factor = float(2**spec.m)
     residual = sq_full.max_coeff_diff(embed(sq_reduced, survivors, n).scale(factor))
 
-    top_full = float(mermin_spectrum(full)[-1])
-    top_reduced = float(mermin_spectrum(reduced, gamma)[-1])
+    top_full = float(_pair_moduli(full.included_angles).max())
+    top_reduced = float(_pair_moduli(reduced.included_angles, gamma).max())
     return ReductionReport(
         n=n,
         m=spec.m,

@@ -225,7 +225,7 @@ def cmd_spectrum(args) -> tuple[dict, int]:
             "parseval_sum_of_squares",
             n,
             args.tol,
-            lambda: abs(math.fsum(spectral.eigenvalues**2) - trace) / max(1.0, trace),
+            lambda: abs(math.fsum((spectral.eigenvalues**2).tolist()) - trace) / max(1.0, trace),
         ),
         (
             "spectral_max_closed_form",
@@ -350,9 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once per process; parse_args reads the parser and never changes it
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         payload, code = args.handler(args)
     except ResourceLimitError as exc:

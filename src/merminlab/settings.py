@@ -37,6 +37,14 @@ def wrap_angle(angle: float) -> float:
     return r
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_j x v_j for (n, 3) arrays, each component one product minus another,
+    in the order ``np.cross`` forms them, without its axis bookkeeping."""
+    return np.column_stack(
+        [u[:, i] * v[:, j] - u[:, j] * v[:, i] for i, j in ((1, 2), (2, 0), (0, 1))]
+    )
+
+
 @dataclass(frozen=True)
 class SettingPair:
     """The two measurement directions (n_j, n_j') of one particle."""
@@ -76,7 +84,7 @@ class MeasurementSettings:
         """
         a, b = self.direction_arrays()
         dots = np.einsum("ij,ij->i", a, b)
-        cross = np.cross(a, b - np.where(dots >= 0.0, 1.0, -1.0)[:, None] * a)
+        cross = _cross(a, b - np.where(dots >= 0.0, 1.0, -1.0)[:, None] * a)
         return tuple(np.arctan2(np.linalg.norm(cross, axis=1), dots).tolist())
 
     def subset(self, particles: tuple[int, ...]) -> "MeasurementSettings":

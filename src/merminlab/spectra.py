@@ -46,12 +46,21 @@ class SpectralReport:
 
         Consecutive eigenvalues closer than ``CLUSTER_TOL`` join one cluster,
         reported as (cluster mean, count).  The mean is an exactly rounded sum
-        (``math.fsum``), so a cluster of +- pairs reports 0.0.
+        (``math.fsum``), so a cluster of +- pairs reports 0.0.  A single
+        eigenvalue x is its own mean, fsum([x]) / 1 = x + 0.0 (fsum drops the
+        sign of -0.0), so only clusters of two or more take a Python sum.
         """
-        blocks = np.split(eigenvalues, np.flatnonzero(np.diff(eigenvalues) > CLUSTER_TOL) + 1)
+        bounds = np.concatenate(
+            ([0], np.flatnonzero(np.diff(eigenvalues) > CLUSTER_TOL) + 1, [len(eigenvalues)])
+        )
+        counts = np.diff(bounds)
+        means = (eigenvalues[bounds[:-1]] + 0.0).tolist()
+        for i in np.flatnonzero(counts > 1).tolist():
+            start, stop = bounds[i : i + 2].tolist()
+            means[i] = math.fsum(eigenvalues[start:stop].tolist()) / (stop - start)
         return cls(
             eigenvalues=eigenvalues,
-            clusters=tuple((math.fsum(block) / len(block), len(block)) for block in blocks),
+            clusters=tuple(zip(means, counts.tolist())),
             max_abs=float(np.max(np.abs(eigenvalues))),
         )
 

@@ -15,7 +15,10 @@ numpy-array and ``math.prod`` twins here, the forms the package's float loops
 must reproduce bit for bit.  So do the chain-stack sum and the coefficient
 compare: ``tensor_oracle`` forms every chain over every shared key with
 broadcast products, and ``max_coeff_diff_oracle`` merges both term sets by a
-stable sort.
+stable sort.  Spectrum clustering and the closed-form pair moduli keep their
+first forms here, one ``np.split`` block and one ``math.fsum`` per cluster and
+one ``np.kron`` per site, which the package's vectorised forms must reproduce
+bit for bit; ``spectrum_cases`` draws the settings they are compared on.
 """
 
 import cmath
@@ -24,10 +27,11 @@ from itertools import combinations
 
 import numpy as np
 
-from merminlab import pauli
+from merminlab import bell, pauli
 from merminlab.pauli import PauliOperator, anticommutator, apply_operator, commutator, embed
-from merminlab.settings import PlanarSettings
-from merminlab.spectra import LhvResult, SpectralReport
+from merminlab.bell import canonical_settings, degenerate_settings, ReductionSpec
+from merminlab.settings import PlanarSettings, random_planar, random_settings
+from merminlab.spectra import CLUSTER_TOL, LhvResult, SpectralReport
 
 LETTERS = "IXYZ"
 
@@ -395,3 +399,45 @@ def max_coeff_diff_oracle(a, b):
         np.concatenate((a.coeffs, -b.coeffs)),
     )
     return float(np.abs(diff).max(initial=0.0))
+
+
+def cluster_oracle(eigenvalues):
+    """(mean, count) per gap cluster of ascending eigenvalues, one ``np.split``
+    block and one ``math.fsum`` mean per cluster."""
+    blocks = np.split(eigenvalues, np.flatnonzero(np.diff(eigenvalues) > CLUSTER_TOL) + 1)
+    return tuple((math.fsum(block) / len(block), len(block)) for block in blocks)
+
+
+def pair_moduli_oracle(thetas, gamma=0.0):
+    """The pair moduli of ``bell._pair_moduli`` with one ``np.kron`` per site."""
+    (plus, minus), *rest = (bell._site_amplitudes(theta) for theta in thetas)
+    phase = cmath.exp(1j * gamma)
+    plus, minus = plus[:1] * phase, minus[:1] * phase.conjugate()
+    *rest, (alpha, beta) = rest
+    for a, b in rest:
+        plus = np.kron(plus, a)
+        minus = np.kron(minus, b)
+    diff = np.empty((len(plus), 2), dtype=np.complex128)
+    for s in (0, 1):
+        np.multiply(plus, alpha[s], out=diff[:, s])
+        diff[:, s] -= minus * beta[s]
+    values = np.abs(diff).ravel()
+    values *= 0.5
+    return values
+
+
+def spectrum_cases(n, rng):
+    """(settings, gamma) pairs whose spectra cover the cluster shapes: random
+    pairs and planar (mostly single eigenvalues), perpendicular planar
+    ([1, 2^n - 2, 1]), canonical, degenerate with mixed signs (every
+    |eigenvalue| repeated 2^m times) and the phase gamma = pi / 4."""
+    pairs, planar = random_settings(n, rng), random_planar(n, rng)
+    cases = [(pairs, 0.0), (planar, 0.0), (perpendicular_base(n), 0.0)]
+    cases += [(canonical_settings(n), 0.0), (pairs, math.pi / 4), (planar, math.pi / 4)]
+    for m in range(1, min(3, n - 3) + 1):
+        signs = tuple(int(rng.choice((-1, 1))) * s for s in (1, -1, 1)[:m])
+        indices = tuple(sorted(int(j) + 1 for j in rng.choice(n, size=m, replace=False)))
+        spec = ReductionSpec(m, indices, signs)
+        cases.append((degenerate_settings(pairs, spec), 0.0))
+        cases.append((degenerate_settings(planar, spec), math.pi / 4))
+    return cases

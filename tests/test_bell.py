@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
-from merminlab import bell
+from merminlab import bell, settings
 from merminlab.pauli import PauliOperator, ResourceLimitError, embed, to_dense
 from merminlab.settings import (
     MeasurementSettings,
@@ -42,10 +42,12 @@ from conftest import (
     eigen_hermitian,
     kron_dense,
     max_coeff_diff_oracle,
+    pair_moduli_oracle,
     perpendicular_base,
     single_spin_operator,
     site_anticommutators,
     site_commutators,
+    spectrum_cases,
     subset_expansion_oracle,
     tensor_oracle,
     three_particle_operator,
@@ -526,6 +528,31 @@ class TestMerminSpectrum:
         assert np.max(np.abs(mermin_spectrum(s) - want)) < 1e-10
 
 
+class TestPairModuliOracle:
+    """The outer-product chain against one np.kron per site, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_moduli_equal_kron_oracle(self, n):
+        rng = np.random.default_rng(720 + n)
+        for s, gamma in spectrum_cases(n, rng):
+            thetas = s.included_angles
+            want = pair_moduli_oracle(thetas, gamma)
+            assert bell._pair_moduli(thetas, gamma).tobytes() == want.tobytes()
+
+    def test_reduction_check_reads_the_top_eigenvalue(self):
+        rng = np.random.default_rng(735)
+        for n in (4, 7, 10):
+            for base in (random_settings(n, rng), random_planar(n, rng)):
+                spec = default_reduction_spec(n, min(3, n - 3))
+                report = bell.reduction_check(base, spec)
+                full = degenerate_settings(base, spec)
+                assert report.max_abs_full == float(mermin_spectrum(full)[-1])
+                survivors = tuple(j for j in range(1, n + 1) if j not in spec.degenerate_indices)
+                gamma = report.phase_shift * math.pi / 4
+                top = float(mermin_spectrum(full.subset(survivors), gamma)[-1])
+                assert report.max_abs_reduced == top
+
+
 class TestEitherSettingsForm:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_planar_builds_the_bits_of_its_vectors(self, n):
@@ -557,12 +584,18 @@ class TestRotationInvariance:
 class TestChainStackOracle:
     """The builders against themselves on the first chain-stack kernels, bit for bit."""
 
-    def test_cross_is_numpy_cross(self):
+    def test_cross_is_numpy_cross(self, monkeypatch):
         rng = np.random.default_rng(630)
         a, b = rng.normal(size=(2, 9, 3))
         c, d = a + 1j * rng.normal(size=(9, 3)), b - 1j * rng.normal(size=(9, 3))
         for u, v in ((a, b), (c, d), (c, c)):
-            assert bell._cross(u, v).tobytes() == np.cross(u, v).tobytes()
+            assert settings._cross(u, v).tobytes() == np.cross(u, v).tobytes()
+        assert bell._cross is settings._cross
+        # the included angles, the other caller, on np.cross's bits
+        cases = [random_settings(n, rng) for n in (2, 5, 12)] + [canonical_settings(4)]
+        got = [s.included_angles for s in cases]
+        monkeypatch.setattr(settings, "_cross", np.cross)
+        assert [s.included_angles for s in cases] == got
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_builders_equal_oracle_kernels(self, n, monkeypatch):

@@ -413,6 +413,36 @@ class TestGlobalFlags:
             assert proc.stdout == ""
             assert "tolerance must be a finite number >= 0" in proc.stderr
 
+    def test_one_parser_serves_a_sequence_of_calls(self, tmp_path):
+        path = tmp_path / "planar.json"
+        save_settings(path, PlanarSettings(((0.0, 1.0), (0.3, 2.0), (0.1, 1.6))))
+
+        def run(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main([*argv, "--no-timestamp"])
+                except SystemExit as exc:
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        first = run("lhv", "--n", "5")
+        assert first[0] == 0
+        assert run("spectrum", "--settings", str(path))[0] == 0
+        code, out, err = run("reduce", "--n", "4")
+        assert (code, out) == (2, "") and "required: --m" in err
+        code, out, err = run("verify", "--n-min", "5", "--n-max", "4")
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        code, out, err = run("table", "--max-n", "32")
+        assert (code, out) == (3, "") and err.startswith("resource limit: ")
+        assert run("lhv", "--n", "5") == first
+        # an option given once does not stay set for the next call
+        reports = [run("reduce", "--n", "4", "--m", "1", *extra)[1] for extra in (["--seed", "9"], [])]
+        assert [json.loads(report)["parameters"]["seed"] for report in reports] == [9, 0]
+        # build_parser stays the constructor: each call makes a new parser
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._PARSER
+
     def test_console_script_help(self):
         proc = run_cli("--help")
         assert proc.returncode == 0

@@ -7,10 +7,17 @@ import pytest
 
 from merminlab.pauli import PauliOperator, apply_operator, to_dense
 from merminlab.settings import PlanarSettings, random_planar
-from merminlab.bell import canonical_mermin, canonical_settings, mermin_operator
+from merminlab.bell import canonical_mermin, canonical_settings, mermin_operator, mermin_spectrum
 from merminlab.spectra import SpectralReport, ghz_state, maximal_eigenvector_check
 
-from conftest import eigen_hermitian, expectation, random_operator
+from conftest import (
+    cluster_oracle,
+    dense_oracle,
+    eigen_hermitian,
+    expectation,
+    random_operator,
+    spectrum_cases,
+)
 
 
 def perpendicular_planar(n, rng=None):
@@ -57,6 +64,38 @@ class TestEigenHermitian:
         eigs_b = eigen_hermitian(to_dense(op)).eigenvalues
         eigs_sq = eigen_hermitian(to_dense(op * op)).eigenvalues
         assert np.max(np.abs(np.sort(eigs_b**2) - np.sort(eigs_sq))) < 1e-8
+
+
+class TestClusterOracle:
+    """Vectorised clustering against one np.split block and fsum per cluster.
+
+    repr compares the floats bit for bit, the sign of zero included, and
+    their Python types.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_closed_form_spectra(self, n):
+        rng = np.random.default_rng(700 + n)
+        for s, gamma in spectrum_cases(n, rng):
+            eigenvalues = mermin_spectrum(s, gamma)
+            got = SpectralReport.from_eigenvalues(eigenvalues).clusters
+            assert repr(got) == repr(cluster_oracle(eigenvalues))
+
+    def test_dense_and_edge_arrays(self):
+        rng = np.random.default_rng(713)
+        arrays = [
+            np.linalg.eigvalsh(dense_oracle(random_operator(4, 12, rng, real=True))),
+            np.linalg.eigvalsh(dense_oracle(mermin_operator(canonical_settings(4)))),
+            np.array([-0.0]),
+            np.array([-0.0, 1.0]),
+            np.array([-1.0, -0.0, 0.0, 1.0]),
+            np.array([-2.0, -2.0 + 5e-8, -2.0 + 1e-7, 0.5, 0.5 + 3e-7]),
+            np.array([-np.inf, 0.0, np.inf]),
+            np.array([1.0, np.nan, 2.0]),
+        ]
+        for eigenvalues in arrays:
+            got = SpectralReport.from_eigenvalues(eigenvalues).clusters
+            assert repr(got) == repr(cluster_oracle(eigenvalues)), eigenvalues
 
 
 class TestCanonicalSpectra:
