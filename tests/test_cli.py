@@ -83,6 +83,17 @@ class TestVerify:
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
 
+    def test_ten_particle_diagonal_is_relative(self):
+        # the diagonal reaches 2^18 at n = 10, whose ulp is 5.8e-11: this seed's
+        # dense-vs-closed-form gap read 1.6e-10 absolute, about 6e-16 relative
+        report, code = run_json(
+            "verify", "--n-min", "10", "--n-max", "10", "--trials", "3", "--seed", "2"
+        )
+        assert code == 0
+        (entry,) = (c for c in report["checks"] if c["name"] == "planar_square_diagonal")
+        assert entry["pass"] is True
+        assert entry["max_residual"] < 1e-14
+
     def test_timestamp_present_by_default(self):
         proc = run_cli("verify", "--n-min", "3", "--n-max", "3", "--trials", "1")
         report = json.loads(proc.stdout)
@@ -348,6 +359,15 @@ class TestOptimize:
         )
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    def test_twenty_particles_reach_the_ceiling(self):
+        # the ceiling 2^38 has an ulp of 6.1e-5, so only a gap relative to it can pass
+        report, code = run_json("optimize", "--n", "20", "--seed", "1")
+        assert code == 0
+        assert report["quantum_ceiling"] == 2.0**38
+        for check in report["checks"]:
+            assert check["pass"] is True
+            assert check["max_residual"] <= check["tol"] <= 1e-10
+
     def test_bad_n_is_usage_error(self):
         proc = run_cli("optimize", "--n", "2", "--objective", "spectral")
         assert proc.returncode == 2
@@ -442,6 +462,45 @@ class TestGlobalFlags:
         # build_parser stays the constructor: each call makes a new parser
         assert cli.build_parser() is not cli.build_parser()
         assert cli.build_parser() is not cli._PARSER
+
+    def test_report_layout(self, tmp_path):
+        # "{", one line per top-level key with its compact value, "}"
+        planar, pairs = tmp_path / "planar.json", tmp_path / "pairs.json"
+        save_settings(planar, random_planar(5, np.random.default_rng(1)))
+        save_settings(pairs, random_settings(4, np.random.default_rng(2)))
+
+        def listed(value):
+            if isinstance(value, (list, tuple)):
+                return [listed(item) for item in value]
+            if isinstance(value, dict):
+                return {key: listed(item) for key, item in value.items()}
+            return value
+
+        for argv in (
+            ["lhv", "--n", "5"],
+            ["reduce", "--n", "6", "--m", "2", "--seed", "1"],
+            ["spectrum", "--settings", str(planar)],
+            ["spectrum", "--settings", str(pairs)],
+            ["optimize", "--n", "3", "--restarts", "2", "--seed", "4"],
+            ["verify", "--n-min", "3", "--n-max", "4", "--trials", "2", "--seed", "7"],
+            ["table", "--max-n", "5", "--format", "json"],
+        ):
+            argv = [*argv, "--no-timestamp"]
+            args = cli._PARSER.parse_args(argv)
+            payload, _ = args.handler(args)
+            outputs = []
+            for _ in range(2):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    cli.main(argv)
+                outputs.append(out.getvalue())
+            assert outputs[0] == outputs[1], argv
+            lines = outputs[0].splitlines()
+            assert len(lines) == len(payload) + 2, argv
+            assert lines[0] == "{" and lines[-1] == "}", argv
+            for line, key in zip(lines[1:-1], payload):
+                assert line.startswith(f"  {json.dumps(key)}: "), (argv, line)
+            assert json.loads(outputs[0]) == listed(payload), argv
 
     def test_console_script_help(self):
         proc = run_cli("--help")
