@@ -2,7 +2,8 @@
 
 Both objectives depend only on the included angles theta_j = phi_j' - phi_j
 (rotating a pair rigidly changes neither), so the simplex runs over the free
-theta_j alone, on lists of Python floats.  Every reported azimuth is phi_j = 0
+theta_j alone, on lists of Python floats kept sorted by value: each step but a
+shrink inserts one vertex by bisection.  Every reported azimuth is phi_j = 0
 with phi_j' = theta_j wrapped to (-pi, pi], and a pinned theta_j is exactly 0.
 Each objective is one closed form in the tuple of included angles:
 
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 import numpy as np
@@ -35,7 +37,8 @@ def ghz_expectation_of_included_angles(thetas: Sequence[float]) -> float:
     """<GHZ|B|GHZ> at GHZ phase sum_j phi_j + pi/2, from the included angles."""
     w = 1.0 + 0.0j
     v = 1.0 + 0.0j
-    for e in (cmath.exp(1j * theta) for theta in thetas):
+    for theta in thetas:
+        e = cmath.exp(1j * theta)
         w *= 1.0 + 1j * e
         v *= 1.0 + 1j * e.conjugate()
     return 0.5 * (v.real - w.real)
@@ -114,62 +117,74 @@ class OptimizeResult:
     outcomes: tuple[RestartOutcome, ...]
 
 
+def _by_value(simplex, values):
+    """The vertices and their values in a stable sort by value."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return [simplex[i] for i in order], [values[i] for i in order]
+
+
 def _nelder_mead(func, x0, max_iters, value_tol, simplex_tol):
     """Minimize func; reflection 1, expansion 2, contraction 0.5, shrink 0.5.
 
-    Converged when the simplex diameter drops below simplex_tol or the
-    function spread across vertices drops below value_tol.  Returns
-    (x_best, f(x_best), iterations, func evaluations, converged).
+    simplex and values stay sorted as a stable sort by value leaves them: a
+    reflect, expand or contract step drops the worst vertex and inserts the
+    new one at bisect_right(values, f_new), after equal values; only a shrink
+    sorts again.  Evaluations are counted inline, dim + 1 to start and then 1,
+    2 or 2 + dim per step.  Converged when the simplex diameter drops below
+    simplex_tol or the function spread across vertices drops below value_tol.
+    Returns (simplex[0], values[0], iterations, func evaluations, converged).
     """
-    evaluations = 0
-
-    def f(x):
-        nonlocal evaluations
-        evaluations += 1
-        return func(x)
-
     dim = len(x0)
     simplex = [list(x0)] + [[x + 0.5 * (i == j) for j, x in enumerate(x0)] for i in range(dim)]
-    values = [f(v) for v in simplex]
+    simplex, values = _by_value(simplex, [func(v) for v in simplex])
+    evaluations = dim + 1
 
     iterations = 0
     converged = False
     while iterations < max_iters:
-        order = sorted(range(dim + 1), key=values.__getitem__)
-        simplex, values = [simplex[i] for i in order], [values[i] for i in order]
-
         best, worst = simplex[0], simplex[-1]
-        diffs = (abs(a - b) for v in simplex[1:] for a, b in zip(v, best))
-        if values[-1] - values[0] < value_tol or all(d < simplex_tol for d in diffs):
+        if values[-1] - values[0] < value_tol or all(
+            abs(a - b) < simplex_tol for v in simplex[1:] for a, b in zip(v, best)
+        ):
             converged = True
             break
         iterations += 1
 
-        # each column summed row by row in order; sum() compensates from 3.12 on
-        centroid = [reduce(add, column) / dim for column in zip(*simplex[:-1])]
+        # each column summed row by row, left to right, through nested lazy
+        # maps (not sum(), which compensates from Python 3.12 on)
+        centroid = [s / dim for s in reduce(partial(map, add), simplex[:-1])]
         reflected = [c + (c - w) for c, w in zip(centroid, worst)]
-        f_reflected = f(reflected)
+        f_reflected = func(reflected)
         if f_reflected < values[0]:
             expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
-            f_expanded = f(expanded)
+            f_expanded = func(expanded)
+            evaluations += 2
             if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
+                new, f_new = expanded, f_expanded
             else:
-                simplex[-1], values[-1] = reflected, f_reflected
+                new, f_new = reflected, f_reflected
         elif f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
+            evaluations += 1
+            new, f_new = reflected, f_reflected
         else:
             toward = reflected if f_reflected < values[-1] else worst
             contracted = [c + 0.5 * (t - c) for c, t in zip(centroid, toward)]
-            f_contracted = f(contracted)
+            f_contracted = func(contracted)
+            evaluations += 2
             if f_contracted < min(f_reflected, values[-1]):
-                simplex[-1], values[-1] = contracted, f_contracted
+                new, f_new = contracted, f_contracted
             else:
                 simplex[1:] = [[b + 0.5 * (a - b) for a, b in zip(v, best)] for v in simplex[1:]]
-                values[1:] = [f(v) for v in simplex[1:]]
+                values[1:] = [func(v) for v in simplex[1:]]
+                evaluations += dim
+                simplex, values = _by_value(simplex, values)
+                continue
+        del simplex[-1], values[-1]
+        slot = bisect_right(values, f_new)
+        simplex.insert(slot, new)
+        values.insert(slot, f_new)
 
-    lowest = min(range(dim + 1), key=values.__getitem__)
-    return simplex[lowest], values[lowest], iterations, evaluations, converged
+    return simplex[0], values[0], iterations, evaluations, converged
 
 
 def optimize_angles(config: OptimizeConfig) -> OptimizeResult:
@@ -192,7 +207,8 @@ def optimize_angles(config: OptimizeConfig) -> OptimizeResult:
         return thetas
 
     def negated(x: list[float]) -> float:
-        return -closed_form(included_angles(x))
+        # with nothing pinned the vertex is the tuple of included angles
+        return -closed_form(included_angles(x) if config.pinned_zero else x)
 
     rng = np.random.default_rng(config.seed)
     outcomes = []

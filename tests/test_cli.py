@@ -15,6 +15,8 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 from merminlab import cli
 from merminlab.settings import PlanarSettings, random_planar, random_settings, save_settings
 
+from conftest import nelder_mead_oracle
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -367,6 +369,26 @@ class TestOptimize:
         for check in report["checks"]:
             assert check["pass"] is True
             assert check["max_residual"] <= check["tol"] <= 1e-10
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "7", "--objective", "ghz", "--restarts", "24", "--seed", "5"],
+            ["--n", "8", "--restarts", "8", "--seed", "3"],
+        ],
+    )
+    def test_report_equals_numpy_oracle_simplex(self, monkeypatch, capsys, argv):
+        # restart_iterations and restart_evaluations reach the report too
+        def array_nelder_mead(func, x0, *args):
+            x, *rest = nelder_mead_oracle(lambda v: func(v.tolist()), np.asarray(x0), *args)
+            return x.tolist(), *rest
+
+        assert cli.main(["optimize", *argv, "--no-timestamp"]) == 0
+        report = capsys.readouterr().out
+        assert '"restart_evaluations"' in report
+        monkeypatch.setattr("merminlab.optimize._nelder_mead", array_nelder_mead)
+        assert cli.main(["optimize", *argv, "--no-timestamp"]) == 0
+        assert capsys.readouterr().out == report
 
     def test_bad_n_is_usage_error(self):
         proc = run_cli("optimize", "--n", "2", "--objective", "spectral")

@@ -223,6 +223,39 @@ class TestNumpyOracleBitIdentity:
                     assert getattr(a, field.name) == getattr(b, field.name), field.name
 
 
+class TestSimplexTiesAndCap:
+    """Objectives that tie, and runs cut at max_iters, against the numpy-array
+    simplex.  The closed forms tie only near their peak, so these catch an
+    insertion slot other than the stable sort's, a returned vertex other than
+    the first lowest, or a shrink left unsorted, where the restarts may not."""
+
+    OBJECTIVES = {
+        "flat": lambda v: 0.0 if not any(v) else 1.0,
+        # plateaus bounded below: ties on insertion and among the lowest
+        "steps": lambda v: float(sum(math.floor(3 * abs(t)) for t in v)),
+        # smooth with many minima: shrinks that leave the vertices out of order
+        "rugged": lambda v: sum((t - 0.3) ** 2 + 0.3 * math.sin(9 * t) for t in v),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_returns_equal_numpy_oracle(self, name):
+        func = self.OBJECTIVES[name]
+        rng = np.random.default_rng(23)
+        capped = 0
+        for trial in range(60):
+            dim = int(rng.integers(2, 6))
+            # the flat objective only moves from its one low vertex at 0
+            x0 = [0.0] * dim if name == "flat" else rng.uniform(-1.0, 1.0, dim).tolist()
+            max_iters = int(rng.integers(1, 41)) if trial % 2 else 200
+            got = _nelder_mead(func, x0, max_iters, 1e-12, 1e-9)
+            x, *rest = nelder_mead_oracle(
+                lambda v: func(v.tolist()), np.asarray(x0), max_iters, 1e-12, 1e-9
+            )
+            assert got == (x.tolist(), *rest), trial
+            capped += not got[4]
+        assert capped >= 10
+
+
 class TestPinnedAngles:
     def test_pinned_thetas_stay_zero(self):
         result = optimize_angles(
