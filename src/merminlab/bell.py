@@ -40,10 +40,17 @@ h_j = (i/2) C_j = -(n_j x n_j') . sigma,
     sum_k (-1/4)^k e_2k = ((x)_j (I + h_j) + (x)_j (I - h_j)) / 2,
 
 since the two chains agree on the products of an even number of h_j and
-cancel on the rest, so the expansion takes two chains of n Kronecker steps
-instead of C(n, 2k) subset products per group.  Each of B^2 and its
-expansion is one ``tensor`` call on a stack of such chains, every chain's
-weight riding on its first site's row, so the chains are summed in one pass.
+cancel on the rest, so the expansion takes Kronecker steps instead of
+C(n, 2k) subset products per group.  Each side is thus a chain plus its
+mirror, the chain with its Z, X, Y columns negated: 2^(n-2) (x)_j (I + h_j)
+for the expansion, and (1/4) P Pbar for B^2, whose per-site products with
+Pbar P differ only in the sign of their sigma parts.  P^2, Pbar^2 and the
+closing scalar are identity chains.  A chain and its mirror agree bit for
+bit on the strings with an even number of letters other than I and cancel
+exactly on the rest, so each side forms one chain over particles 1 ... n-1
+and, at the last, only its (4^n + (-2)^n) / 2 even-weight strings, with the
+bits of summing the full stack (``pauli._mirror_sum``).  Every chain's
+weight rides on its first site's row.
 
 The spectrum of B reads one number per particle, the included angle theta_j
 in [0, pi] of (n_j, n_j').  A rotation, which conjugates sigma by a local
@@ -86,6 +93,7 @@ from .pauli import (
     PauliOperator,
     ResourceLimitError,
     UnitVector3,
+    _mirror_sum,
     embed,
     tensor,
 )
@@ -169,24 +177,27 @@ def mermin_square(settings: AnySettings, gamma: float = 0.0) -> PauliOperator:
     for P = (x)_j (sigma_j + i sigma_j') and its partner Pbar.
 
     Each of the four products is a Kronecker chain of per-site spin products
-    in closed form (see the module docstring), its weight on its first site.
-    P^2 and Pbar^2 are prod_j (+-2i n_j . n_j') times I, so they vanish when
-    any pair is perpendicular.
+    in closed form (see the module docstring), its weight on its first site;
+    Pbar P is P Pbar's mirror, so only P Pbar's even-weight strings are
+    formed.  P^2 and Pbar^2 are prod_j (+-2i n_j . n_j') times I, so they
+    vanish when any pair is perpendicular.
     """
-    return tensor(_square_stack(*settings.direction_arrays(), gamma))
+    return _square(*settings.direction_arrays(), gamma)
 
 
-def _square_stack(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """``mermin_square``'s stack of four chains for the direction arrays a and b."""
+def _square(a: np.ndarray, b: np.ndarray, gamma: float) -> PauliOperator:
+    """``mermin_square`` for the direction arrays a and b: P^2 and Pbar^2 keep I
+    alone, and Pbar P's rows are P Pbar's with the Z, X, Y columns negated."""
     plus, minus = a + 1j * b, a - 1j * b
     phase = cmath.exp(2j * gamma)
-    return _stack(
+    stack = _stack(
         [
             _spin_products(left, right)
-            for left, right in ((plus, plus), (minus, minus), (plus, minus), (minus, plus))
+            for left, right in ((plus, plus), (minus, minus), (plus, minus))
         ],
-        [-0.25 * phase, -0.25 * phase.conjugate(), 0.25, 0.25],
+        [-0.25 * phase, -0.25 * phase.conjugate(), 0.25],
     )
+    return _mirror_sum(stack, 2)
 
 
 def closing_scalar(settings: AnySettings, gamma: float = 0.0) -> float:
@@ -210,26 +221,27 @@ def mermin_square_expansion(settings: AnySettings, gamma: float = 0.0) -> Expans
     """Full commutator expansion of B_gamma^2 for any n, residual-checked.
 
     The weighted group sums 2^(n-1) sum_k (-1/4)^k e_2k(C_1, ..., C_n) are the
-    mean of the chains 2^(n-1) (x)_j (I +- (i/2) C_j); the scalar
+    mean of the chains 2^(n-1) (x)_j (I +- (i/2) C_j), a chain and its mirror,
+    so only their even-weight strings are formed; the scalar
     -(1/2) Re(e^(2i gamma) i^n) prod_j A_j is one more, identity, chain where
     it is nonzero (see the module docstring).
     """
     n = settings.n
     a, b = settings.direction_arrays()
     cross = _cross(a, b)
-    # I + h_j and I - h_j, h_j = -(n_j x n_j') . sigma, each weighted 2^(n-1) / 2
-    vectors, weights = [-cross, cross], [2.0 ** (n - 2)] * 2
+    # I + h_j, h_j = -(n_j x n_j') . sigma, and its mirror I - h_j, each weighted 2^(n-1) / 2
+    vectors, weights = [-cross], [2.0 ** (n - 2)]
     scalar = _closing_scalar(a, b, gamma)
     if scalar:
         vectors.append(np.zeros_like(cross))
         weights.append(scalar)
-    expansion = tensor(_stack([_rows(1.0, w) for w in vectors], weights))
+    expansion = _mirror_sum(_stack([_rows(1.0, w) for w in vectors], weights), 0)
     top = n - 1 if n % 2 else n - 2
     return ExpansionReport(
         n=n,
         expansion=expansion,
         group_term_counts={two_k: math.comb(n, two_k) for two_k in range(2, top + 1, 2)},
-        residual=expansion.max_coeff_diff(tensor(_square_stack(a, b, gamma))),
+        residual=expansion.max_coeff_diff(_square(a, b, gamma)),
     )
 
 

@@ -117,8 +117,8 @@ def _planar_dense_residual(planar: PlanarSettings) -> float:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    if not 3 <= args.n_min <= args.n_max <= 10:
-        raise ValueError("need 3 <= --n-min <= --n-max <= 10")
+    if not 3 <= args.n_min <= args.n_max <= 11:
+        raise ValueError("need 3 <= --n-min <= --n-max <= 11")
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     rng = np.random.default_rng(args.seed)

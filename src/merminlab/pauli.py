@@ -26,7 +26,11 @@ chain of per-site coefficient rows (``tensor``) appends two bits per site and
 comes out sorted and free of repeats, and a stack of chains shares one such
 key chain, over the codes any of its chains keeps, with each chain's
 coefficients added under it in stack order (a chain that keeps one code per
-site adds its one coefficient at its key); ``max_coeff_diff`` subtracts
+site adds its one coefficient at its key); a chain plus its mirror, the
+chain with its Z, X, Y columns negated, forms only its strings with an even
+number of letters other than I, where the pair doubles, since it cancels
+exactly on the rest (``_mirror_sum``, with ``tensor``'s bits for the full
+stack); ``max_coeff_diff`` subtracts
 coefficients under equal keys found by binary search in the sorted arrays;
 dense conversion and statevector action share one Walsh-Hadamard kernel
 (``_flip_blocks``).  Every operation that forms new coefficients rejects a
@@ -72,12 +76,20 @@ _PHASE_ARR = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 _PHASE_BITS = np.uint64(0x5555_5555_5555_5555)
 _ONE = np.uint64(1)
 
+# the letter codes, and _CLOSES_EVEN[p, k] whether code k after a prefix with
+# p % 2 letters other than I closes a string of even weight
+_CODES = np.arange(4, dtype=np.uint64)
+_CLOSES_EVEN = np.array([[True, False, False, False], [False, True, True, True]])
+
 # a key holds 2n bits of a uint64
 _KEY_MAX_N = 32
 # products combine this many term pairs at a time
 _CHUNK_PAIRS = 4_000_000
 # dense conversion and statevector action transform this many entries at a time
 _CHUNK_ENTRIES = 1 << 18
+# a mirror sum forms its last site for at most this many prefixes at a time;
+# at 4 or more, equal blocks hold two prefixes or more
+_CHUNK_PREFIXES = 4096
 # a chain step writes column by column from this prefix length on, where one
 # call per kept code beats a broadcast call's short inner loops
 _COLUMN_PREFIX = 512
@@ -380,6 +392,104 @@ def tensor(sites: np.ndarray) -> PauliOperator:
     all-zero site adds nothing.  Either way the bits equal those of the full
     chain.
     """
+    chains, kept, keeps = _site_rows(sites)
+    n = chains.shape[1]
+    _check_size(keeps, len(chains))
+    lone = _lone_sites(keeps)
+    keys = _key_chain(keeps)
+    total = np.zeros(len(keys), dtype=np.complex128)
+    for chain, chain_kept, counts in zip(chains, kept, kept.sum(axis=-1).tolist()):
+        if 0 in counts:
+            continue  # an all-zero site zeroes the chain
+        if max(counts) == 1:
+            key = chain_kept.argmax(axis=-1).astype(np.uint64) @ _site_weights(n)
+            total[np.searchsorted(keys, key)] += _string_coeff(chain[chain_kept], lone)
+        else:
+            total += _coeff_chain(chain, keeps)
+    return _pruned(n, keys, total)
+
+
+def _mirror_sum(sites: np.ndarray, at: int) -> PauliOperator:
+    """``tensor`` of the stack ``sites`` with the mirror of chain ``at`` added
+    right after it, bit for bit, formed on the even-weight strings alone.
+
+    The mirror negates a chain's Z, X and Y columns, so on a string with w
+    letters other than I its coefficient is (-1)^w times the chain's, bit for
+    bit: the pair cancels exactly on odd strings and adds (0 + c) + c on even
+    ones.  So the chain runs once over sites 1 ... n-1, and at the last site
+    a prefix of even weight takes I and one of odd weight takes Z, X and Y.
+    Chain ``at`` keeps I at every site and every other chain keeps I alone,
+    so those add at the identity, the first key, in stack order.  The size
+    check counts the mirror as a chain of the stack.
+    """
+    chains, kept, keeps = _site_rows(sites)
+    n = chains.shape[1]
+    _check_size(keeps, len(chains) + 1)
+    lone = _lone_sites(keeps)
+    chain = chains[at]
+    if keeps.sum(axis=-1).max() == 1:
+        # every chain is the identity string
+        keys = np.zeros(1, dtype=np.uint64)
+        coeffs = np.array([_string_coeff(chain[kept[at]], lone)])
+    else:
+        keys, coeffs = _even_last_site(
+            _key_chain(keeps[:-1]), _coeff_chain(chain[:-1], keeps[:-1]), chain[-1], keeps[-1]
+        )
+    first = coeffs[0]
+    coeffs += coeffs
+    coeffs += 0.0  # a -0.0 part becomes +0.0, as it does in tensor's sum from zero
+    head = 0j
+    for k, counts in enumerate(kept.sum(axis=-1).tolist()):
+        if k == at:
+            head = (head + first) + first
+        elif 0 not in counts:
+            head += _string_coeff(chains[k][kept[k]], lone)
+    coeffs[0] = head
+    return _pruned(n, keys, coeffs)
+
+
+def _even_last_site(
+    keys: np.ndarray, coeffs: np.ndarray, row: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The last step of a chain over the prefix ``keys`` and ``coeffs``, kept
+    where the string has even weight: a prefix with an even count of letters
+    other than I takes I, one with an odd count takes Z, X and Y.
+
+    The step runs in blocks of at most ``_CHUNK_PREFIXES`` prefixes, each
+    block's even entries taken into the output, so the full step is never
+    held.  The blocks are of equal size within one, so none holds a single
+    prefix unless the whole step does: numpy multiplies a lone (1, 1) element
+    by the plain formula, which can round apart from its array loop.
+    """
+    keys = keys << np.uint64(2)
+    odd = np.bitwise_count((keys | keys >> _ONE) & _PHASE_BITS) & 1
+    closes = _CLOSES_EVEN[:, keep]
+    takes_i, *takes_zxy = keep.tolist()
+    odd_count = np.count_nonzero(odd)
+    size = (len(odd) - odd_count) * takes_i + odd_count * sum(takes_zxy)
+    out_keys = np.empty(size, dtype=np.uint64)
+    out_coeffs = np.empty(size, dtype=np.complex128)
+    codes, values = _CODES[keep], row[keep]
+    blocks = -(-len(odd) // _CHUNK_PREFIXES)
+    end = 0
+    for i in range(blocks):
+        block = slice(i * len(odd) // blocks, (i + 1) * len(odd) // blocks)
+        even = np.flatnonzero(closes.take(odd[block], axis=0))
+        begin, end = end, end + len(even)
+        # mode="clip" writes straight into out, which the default mode buffers
+        _chain_step(keys[block], codes, np.bitwise_or).take(
+            even, out=out_keys[begin:end], mode="clip"
+        )
+        _chain_step(coeffs[block], values, np.multiply).take(
+            even, out=out_coeffs[begin:end], mode="clip"
+        )
+    return out_keys, out_coeffs
+
+
+def _site_rows(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (K, n, 4) complex chains of ``sites`` with entries at or below
+    ``PRUNE_TOL`` zeroed, which entries each chain keeps, and which codes any
+    chain keeps at each site."""
     sites = np.asarray(sites, dtype=np.complex128)
     if sites.ndim not in (2, 3) or sites.shape[-1] != 4 or 0 in sites.shape:
         raise ValueError(f"tensor needs (n, 4) or (K, n, 4) site coefficients, got {sites.shape}")
@@ -390,40 +500,53 @@ def tensor(sites: np.ndarray) -> PauliOperator:
     chains = sites.reshape(-1, n, 4)
     chains = np.where(np.abs(chains) > PRUNE_TOL, chains, 0.0)
     kept = chains != 0
-    keeps = kept.any(axis=0)
-    widths = keeps.sum(axis=-1)
-    size = len(chains) * widths.prod(dtype=float)
+    return chains, kept, kept.any(axis=0)
+
+
+def _check_size(keeps: np.ndarray, count: int) -> None:
+    """Raise ResourceLimitError if ``count`` chains over the shared keys of
+    ``keeps`` hold more than ``TENSOR_LIMIT`` coefficients."""
+    size = count * keeps.sum(axis=-1).prod(dtype=float)
     if size > TENSOR_LIMIT:
         raise ResourceLimitError(
             f"tensor would form {size:.3g} coefficients, limit is {TENSOR_LIMIT}"
         )
-    codes = np.arange(4, dtype=np.uint64)
+
+
+def _lone_sites(keeps: np.ndarray) -> int:
+    """How many leading sites a one-string chain multiplies as lone elements.
+
+    numpy's complex multiply may fuse multiply-adds over arrays but takes a
+    lone (1, 1) element by the plain formula, and the two can round apart; a
+    chain holds one coefficient up to the first site where two codes are kept.
+    """
+    wide = np.flatnonzero(keeps.sum(axis=-1) > 1)
+    return max(1, int(wide[0]) if wide.size else len(keeps))
+
+
+def _key_chain(keeps: np.ndarray) -> np.ndarray:
+    """Sorted keys of every string over the kept codes of each site."""
     keys = np.zeros(1, dtype=np.uint64)
     for keep in keeps:
-        keys = _chain_step(keys << np.uint64(2), codes[keep], np.bitwise_or)
-    # numpy's complex multiply may fuse multiply-adds over arrays but takes a
-    # lone (1, 1) element by the plain formula, and the two can round apart; a
-    # chain holds one coefficient up to the first site where two codes are kept
-    wide = np.flatnonzero(widths > 1)
-    lone = max(1, int(wide[0]) if wide.size else n)
-    total = np.zeros(len(keys), dtype=np.complex128)
-    for chain, chain_kept, counts in zip(chains, kept, kept.sum(axis=-1).tolist()):
-        if 0 in counts:
-            continue  # an all-zero site zeroes the chain
-        if max(counts) == 1:
-            # one string: its entries multiplied left to right, as its chain would
-            values = chain[chain_kept]
-            coeff = np.multiply.reduce(values[:lone], keepdims=True)
-            for value in values[lone:]:
-                coeff = coeff * value
-            key = chain_kept.argmax(axis=-1).astype(np.uint64) @ _site_weights(n)
-            total[np.searchsorted(keys, key)] += coeff[0]
-        else:
-            coeffs = np.ones(1, dtype=np.complex128)
-            for row, keep in zip(chain, keeps):
-                coeffs = _chain_step(coeffs, row[keep], np.multiply)
-            total += coeffs
-    return _pruned(n, keys, total)
+        keys = _chain_step(keys << np.uint64(2), _CODES[keep], np.bitwise_or)
+    return keys
+
+
+def _coeff_chain(chain: np.ndarray, keeps: np.ndarray) -> np.ndarray:
+    """A chain's coefficient under every key of ``_key_chain(keeps)``."""
+    coeffs = np.ones(1, dtype=np.complex128)
+    for row, keep in zip(chain, keeps):
+        coeffs = _chain_step(coeffs, row[keep], np.multiply)
+    return coeffs
+
+
+def _string_coeff(values: np.ndarray, lone: int) -> complex:
+    """A one-string chain's coefficient: its entries multiplied left to right,
+    the first ``lone`` as lone elements, as its full chain would."""
+    coeff = np.multiply.reduce(values[:lone], keepdims=True)
+    for value in values[lone:]:
+        coeff = coeff * value
+    return coeff[0]
 
 
 def _chain_step(prefix: np.ndarray, values: np.ndarray, op: np.ufunc) -> np.ndarray:

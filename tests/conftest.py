@@ -15,10 +15,14 @@ numpy-array and ``math.prod`` twins here, the forms the package's float loops
 must reproduce bit for bit.  So do the chain-stack sum and the coefficient
 compare: ``tensor_oracle`` forms every chain over every shared key with
 broadcast products, and ``max_coeff_diff_oracle`` merges both term sets by a
-stable sort.  Spectrum clustering and the closed-form pair moduli keep their
-first forms here, one ``np.split`` block and one ``math.fsum`` per cluster and
-one ``np.kron`` per site, which the package's vectorised forms must reproduce
-bit for bit; ``spectrum_cases`` draws the settings they are compared on.
+stable sort.  ``square_stack_oracle`` and ``expansion_stack_oracle`` are the
+builders' first stacks, each chain and its mirror formed from its own rows,
+which the package's even-weight half of one chain per side must reproduce
+through ``tensor_oracle`` bit for bit.  Spectrum clustering and the
+closed-form pair moduli keep their first forms here, one ``np.split`` block
+and one ``math.fsum`` per cluster and one ``np.kron`` per site, which the
+package's vectorised forms must reproduce bit for bit; ``spectrum_cases``
+draws the settings they are compared on.
 """
 
 import cmath
@@ -388,6 +392,33 @@ def tensor_oracle(sites):
         raise ValueError("Pauli coefficients must be finite")
     keep = np.abs(total) > pauli.PRUNE_TOL
     return pauli._make(n, keys[keep], total[keep])
+
+
+def square_stack_oracle(a, b, gamma=0.0):
+    """``mermin_square``'s first stack for the direction arrays a and b: the
+    chains P^2, Pbar^2, P Pbar and Pbar P, each from its own spin products."""
+    plus, minus = a + 1j * b, a - 1j * b
+    phase = cmath.exp(2j * gamma)
+    return bell._stack(
+        [
+            bell._spin_products(left, right)
+            for left, right in ((plus, plus), (minus, minus), (plus, minus), (minus, plus))
+        ],
+        [-0.25 * phase, -0.25 * phase.conjugate(), 0.25, 0.25],
+    )
+
+
+def expansion_stack_oracle(a, b, gamma=0.0):
+    """``mermin_square_expansion``'s first stack: 2^(n-2) (x)_j (I + h_j) and
+    2^(n-2) (x)_j (I - h_j), then the closing scalar's identity chain where
+    the scalar is nonzero."""
+    cross = bell._cross(a, b)
+    vectors, weights = [-cross, cross], [2.0 ** (len(a) - 2)] * 2
+    scalar = bell._closing_scalar(a, b, gamma)
+    if scalar:
+        vectors.append(np.zeros_like(cross))
+        weights.append(scalar)
+    return bell._stack([bell._rows(1.0, w) for w in vectors], weights)
 
 
 def max_coeff_diff_oracle(a, b):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
-from merminlab import bell, settings
+from merminlab import bell, pauli, settings
 from merminlab.pauli import PauliOperator, ResourceLimitError, embed, to_dense
 from merminlab.settings import (
     MeasurementSettings,
@@ -40,6 +40,7 @@ from conftest import (
     dense_bell_oracle,
     dense_oracle,
     eigen_hermitian,
+    expansion_stack_oracle,
     kron_dense,
     max_coeff_diff_oracle,
     pair_moduli_oracle,
@@ -48,6 +49,7 @@ from conftest import (
     site_anticommutators,
     site_commutators,
     spectrum_cases,
+    square_stack_oracle,
     subset_expansion_oracle,
     tensor_oracle,
     three_particle_operator,
@@ -629,3 +631,90 @@ class TestChainStackOracle:
                 assert left.coeffs.tobytes() == right.coeffs.tobytes()
             else:
                 assert left == right
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_builders_equal_first_stacks(self, n, monkeypatch):
+        # the even-weight half of one chain per side against the first stacks,
+        # every chain and its mirror formed from its own rows, bit for bit
+        rng = np.random.default_rng(650 + n)
+        kinds = [random_settings(n, rng), random_planar(n, rng), canonical_settings(n)]
+        specs = []
+        if n >= 4:
+            m = min(3, n - 3)
+            signs = tuple(int(rng.choice((-1, 1))) for _ in range(m))
+            indices = tuple(sorted(int(j) + 1 for j in rng.choice(n, size=m, replace=False)))
+            spec = ReductionSpec(m, indices, signs)
+            kinds.append(degenerate_settings(kinds[0], spec))
+            specs = [(kinds[0], spec), (kinds[1], default_reduction_spec(n, m))]
+        gammas = (0.0, math.pi / 4, float(rng.uniform(-math.pi, math.pi)))
+        if n < 11:
+            cases = [(s, gamma) for s in kinds for gamma in gammas]
+        else:
+            # one phase per kind keeps the 4^n-key oracle stacks to a few
+            cases = [(s, gammas[i % 3]) for i, s in enumerate(kinds)]
+            specs = specs[:1]
+        for s, gamma in cases:
+            a, b = s.direction_arrays()
+            square = tensor_oracle(square_stack_oracle(a, b, gamma))
+            expansion = tensor_oracle(expansion_stack_oracle(a, b, gamma))
+            report = mermin_square_expansion(s, gamma)
+            for got, want in ((mermin_square(s, gamma), square), (report.expansion, expansion)):
+                assert got.keys.tobytes() == want.keys.tobytes()
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert report.residual == expansion.max_coeff_diff(square)
+            top = n - 1 if n % 2 else n - 2
+            assert report.group_term_counts == {k: math.comb(n, k) for k in range(2, top + 1, 2)}
+        got = [bell.reduction_check(base, spec) for base, spec in specs]
+        monkeypatch.setattr(
+            bell,
+            "mermin_square",
+            lambda s, gamma=0.0: tensor_oracle(square_stack_oracle(*s.direction_arrays(), gamma)),
+        )
+        assert got == [bell.reduction_check(base, spec) for base, spec in specs]
+
+    def test_every_pair_degenerate_equals_first_stacks(self):
+        # every chain is the identity string: one coefficient, no shared wide site
+        rng = np.random.default_rng(660)
+        for n in (2, 3, 6):
+            pairs = random_settings(n, rng).pairs
+            s = MeasurementSettings(
+                tuple(SettingPair(p.a, p.a if j % 2 else p.a.flipped()) for j, p in enumerate(pairs))
+            )
+            a, b = s.direction_arrays()
+            for gamma in (0.0, math.pi / 4, 1.1):
+                report = mermin_square_expansion(s, gamma)
+                for got, want in (
+                    (mermin_square(s, gamma), tensor_oracle(square_stack_oracle(a, b, gamma))),
+                    (report.expansion, tensor_oracle(expansion_stack_oracle(a, b, gamma))),
+                ):
+                    assert got.keys.tobytes() == want.keys.tobytes()
+                    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+class TestEvenWeightHalf:
+    """B^2 sums products of an even number of commutators, so both sides hold
+    the even-weight strings alone."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_both_sides_hold_every_even_string(self, n):
+        s = random_settings(n, np.random.default_rng(670 + n))
+        for op in (mermin_square(s), mermin_square_expansion(s).expansion):
+            assert op.num_terms == (4**n + (-2) ** n) // 2
+            assert all((n - string.count("I")) % 2 == 0 for string in op.terms)
+
+    def test_limit_admits_eleven_and_refuses_twelve_before_forming(self, monkeypatch):
+        rng = np.random.default_rng(680)
+        s = random_settings(11, rng)
+        report = mermin_square_expansion(s)
+        assert report.expansion.num_terms == mermin_square(s).num_terms == (4**11 - 2**11) // 2
+        assert report.residual < 1e-10
+
+        def formed(*args):
+            raise AssertionError("a chain was formed before the limit check")
+
+        monkeypatch.setattr(pauli, "_chain_step", formed)
+        s = random_settings(12, rng)
+        with pytest.raises(ResourceLimitError):
+            mermin_square(s)
+        with pytest.raises(ResourceLimitError):
+            mermin_square_expansion(s)

@@ -65,7 +65,7 @@ class TestVerify:
         assert proc.returncode == 2
         proc = run_cli("verify", "--n-min", "5", "--n-max", "4")
         assert proc.returncode == 2
-        proc = run_cli("verify", "--n-max", "11")
+        proc = run_cli("verify", "--n-max", "12")
         assert proc.returncode == 2
 
     def test_nine_particles_pass(self):
@@ -74,6 +74,13 @@ class TestVerify:
         )
         assert code == 0
         assert report["overall_pass"] is True
+
+    def test_eleven_particles_pass(self):
+        # the largest n whose B^2 stack TENSOR_LIMIT admits
+        report, code = run_json("verify", "--n-max", "11", "--trials", "1")
+        assert code == 0
+        assert report["overall_pass"] is True
+        assert max(c["n"] for c in report["checks"]) == 11
 
     def test_byte_identical_reruns(self):
         args = (

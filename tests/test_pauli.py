@@ -293,6 +293,67 @@ class TestChainStackOracle:
                 assert right.max_coeff_diff(left) == max_coeff_diff_oracle(right, left)
 
 
+class TestMirrorSum:
+    """The even-weight half of a chain and its mirror against ``tensor`` of the
+    stack with the mirror inserted, bit for bit."""
+
+    @staticmethod
+    def _with_mirror(stack, at):
+        mirror = stack[at].copy()
+        mirror[:, 1:] = -mirror[:, 1:]
+        return np.insert(stack, at + 1, mirror, axis=0)
+
+    @staticmethod
+    def _stacks(rng):
+        for n in range(1, 9):
+            for shape in ("full", "planar", "narrow", "narrow_last", "identity"):
+                values = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+                chain = values * (rng.random((n, 4)) < 0.8)
+                chain[:, 0] = values[:, 0]  # the chain keeps I at every site
+                if shape == "planar":
+                    chain[:, 2:] = 0.0
+                elif shape == "narrow":
+                    chain[rng.integers(n), 1:] = 0.0
+                elif shape == "narrow_last":
+                    chain[-1, 1:] = 0.0
+                elif shape == "identity":
+                    chain[:, 1:] = 0.0
+                before, after = rng.integers(0, 3, size=2)
+                others = np.zeros((before + after, n, 4), dtype=complex)
+                others[:, :, 0] = rng.normal(size=(before + after, n)) + 1j * rng.normal(
+                    size=(before + after, n)
+                )
+                if before + after and rng.random() < 0.3:
+                    others[0, rng.integers(n), 0] = 0.0  # an identity chain that adds nothing
+                yield np.concatenate((others[:before], chain[None], others[before:])), int(before)
+
+    @pytest.mark.parametrize("chunk", [4096, 4, 5])
+    def test_bits_equal_tensor_of_the_stack_with_its_mirror(self, chunk, monkeypatch):
+        # blocks of a few prefixes split the last site mid-way through every shape
+        monkeypatch.setattr(pauli, "_CHUNK_PREFIXES", chunk)
+        rng = np.random.default_rng(119)
+        for stack, at in self._stacks(rng):
+            full = self._with_mirror(stack, at)
+            out = pauli._mirror_sum(stack, at)
+            for want in (tensor(full), tensor_oracle(full)):
+                assert out.keys.tobytes() == want.keys.tobytes()
+                assert out.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_limit_counts_the_mirror(self, monkeypatch):
+        rng = np.random.default_rng(120)
+        stack = np.zeros((3, 5, 4), dtype=complex)
+        stack[:, :, 0] = 1.0
+        stack[1] = rng.normal(size=(5, 4))
+        stack[1, 2, 3] = 0.0  # 4^4 * 3 shared keys
+        size = 4 * 4**4 * 3
+        monkeypatch.setattr(pauli, "TENSOR_LIMIT", size)
+        assert pauli._mirror_sum(stack, 1).num_terms == tensor(self._with_mirror(stack, 1)).num_terms
+        monkeypatch.setattr(pauli, "TENSOR_LIMIT", size - 1)
+        for build in (lambda: pauli._mirror_sum(stack, 1), lambda: tensor(self._with_mirror(stack, 1))):
+            with pytest.raises(ResourceLimitError):
+                build()
+
+
 class TestLetterProductOracle:
     """The product kernel against products formed one letter at a time."""
 
