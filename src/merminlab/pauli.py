@@ -59,8 +59,9 @@ DENSE_LIMIT = 12
 
 #: cap on the coefficients one ``tensor`` call counts: K chains times the
 #: product over sites of the codes any chain keeps there, whether or not a
-#: chain forms them.  A random-pairs B^2 (K = 4) counts 2^(2n+2), 2^24 at
-#: n = 11, so the cap admits n = 11 and refuses n = 12
+#: chain forms them.  ``_mirror_sum`` counts the mirror as a chain, so a
+#: random-pairs B^2 (its chain, the mirror and two identity chains) counts
+#: 4 * 4^n = 2^(2n+2), 2^24 at n = 11: the cap admits n = 11 and refuses n = 12
 TENSOR_LIMIT = 1 << 24
 
 # _CODE_LETTER maps a letter code to its ASCII byte and _LETTER_CODE maps the
@@ -87,8 +88,9 @@ _KEY_MAX_N = 32
 _CHUNK_PAIRS = 4_000_000
 # dense conversion and statevector action transform this many entries at a time
 _CHUNK_ENTRIES = 1 << 18
-# a mirror sum forms its last site for at most this many prefixes at a time;
-# at 4 or more, equal blocks hold two prefixes or more
+# a mirror sum forms its last site for at most this many prefixes at a time,
+# whose step (up to 4 codes a prefix, 24 bytes an entry) stays in a core's
+# cache; at 4 or more, equal blocks hold two prefixes or more
 _CHUNK_PREFIXES = 4096
 # a chain step writes column by column from this prefix length on, where one
 # call per kept code beats a broadcast call's short inner loops
@@ -391,6 +393,10 @@ def tensor(sites: np.ndarray) -> PauliOperator:
     is one string, whose one coefficient is added at its key, and one with an
     all-zero site adds nothing.  Either way the bits equal those of the full
     chain.
+
+    The package's B^2 builders no longer pass a stack: they go through
+    ``_mirror_sum``.  The stack form stays on purpose, as public API and as
+    the reference whose bits ``_mirror_sum`` reproduces.
     """
     chains, kept, keeps = _site_rows(sites)
     n = chains.shape[1]
@@ -456,8 +462,11 @@ def _even_last_site(
     other than I takes I, one with an odd count takes Z, X and Y.
 
     The step runs in blocks of at most ``_CHUNK_PREFIXES`` prefixes, each
-    block's even entries taken into the output, so the full step is never
-    held.  The blocks are of equal size within one, so none holds a single
+    block's even entries taken by index into the output, so each block's
+    step is read back while still in cache and the full step is never held.
+    One step over the whole prefix kept by a boolean mask gives the same
+    bits but built a random-pairs B^2 side 1.5 times slower at n = 9 and 1.9
+    times at n = 11 (Python 3.11, numpy 2.4, 2-core VM).  The blocks are of equal size within one, so none holds a single
     prefix unless the whole step does: numpy multiplies a lone (1, 1) element
     by the plain formula, which can round apart from its array loop.
     """
