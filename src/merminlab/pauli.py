@@ -23,15 +23,14 @@ appear only where a caller reads or writes them: the dict constructor,
 keys and read their phase off bit-plane popcounts; sums and products add the
 coefficients under equal keys by one stable sort (``_merged``); a Kronecker
 chain of per-site coefficient rows (``tensor``) appends two bits per site and
-comes out sorted and free of repeats, and a stack of chains shares one such
-key chain, over the codes any of its chains keeps, with each chain's
-coefficients added under it in stack order (a chain that keeps one code per
-site adds its one coefficient at its key); a chain plus its mirror, the
-chain with its Z, X, Y columns negated, forms only its strings with an even
-number of letters other than I, where the pair doubles, since it cancels
-exactly on the rest (``_mirror_sum``, with ``tensor``'s bits for the full
-stack); ``max_coeff_diff`` subtracts
-coefficients under equal keys found by binary search in the sorted arrays;
+comes out sorted and free of repeats, and a stack of chains forms each chain
+over one shared key chain, the codes any of its chains keeps, and adds them
+in stack order; a chain plus its mirror, the chain with its Z, X, Y columns
+negated, forms only its strings with an even number of letters other than
+I, where the pair doubles, since it cancels exactly on the rest
+(``_mirror_sum``, with ``tensor``'s bits for the full stack);
+``max_coeff_diff`` subtracts coefficients under equal keys found by binary
+search in the sorted arrays;
 dense conversion and statevector action share one Walsh-Hadamard kernel
 (``_flip_blocks``).  Every operation that forms new coefficients rejects a
 non-finite one.
@@ -388,31 +387,23 @@ def tensor(sites: np.ndarray) -> PauliOperator:
     operator would drop them.  All chains share one key chain over the codes
     any chain keeps at each site; more than ``TENSOR_LIMIT`` coefficients
     over it (K times the key count) raise ResourceLimitError before any is
-    formed.  A chain forms a coefficient for every shared key only if it
-    keeps two codes at some site: one that keeps a single code at every site
-    is one string, whose one coefficient is added at its key, and one with an
-    all-zero site adds nothing.  Either way the bits equal those of the full
-    chain.
+    formed.  Each chain forms its coefficient under every shared key, zeros
+    and all.
 
-    The package's B^2 builders no longer pass a stack: they go through
-    ``_mirror_sum``.  The stack form stays on purpose, as public API and as
-    the reference whose bits ``_mirror_sum`` reproduces.
+    The package's B^2 builders pass no stack: they go through
+    ``_mirror_sum``.  The stack form stays as public API and as the
+    reference whose bits ``_mirror_sum`` reproduces.  It forms identity-only
+    chains in full too, so a B^2-style stack (a chain, its mirror and two
+    identity chains) takes 60-75 ms at n = 10 (Python 3.11, numpy 2.4,
+    2-core VM).
     """
-    chains, kept, keeps = _site_rows(sites)
-    n = chains.shape[1]
+    chains, keeps = _site_rows(sites)
     _check_size(keeps, len(chains))
-    lone = _lone_sites(keeps)
     keys = _key_chain(keeps)
     total = np.zeros(len(keys), dtype=np.complex128)
-    for chain, chain_kept, counts in zip(chains, kept, kept.sum(axis=-1).tolist()):
-        if 0 in counts:
-            continue  # an all-zero site zeroes the chain
-        if max(counts) == 1:
-            key = chain_kept.argmax(axis=-1).astype(np.uint64) @ _site_weights(n)
-            total[np.searchsorted(keys, key)] += _string_coeff(chain[chain_kept], lone)
-        else:
-            total += _coeff_chain(chain, keeps)
-    return _pruned(n, keys, total)
+    for chain in chains:
+        total += _coeff_chain(chain, keeps)
+    return _pruned(chains.shape[1], keys, total)
 
 
 def _mirror_sum(sites: np.ndarray, at: int) -> PauliOperator:
@@ -425,33 +416,28 @@ def _mirror_sum(sites: np.ndarray, at: int) -> PauliOperator:
     ones.  So the chain runs once over sites 1 ... n-1, and at the last site
     a prefix of even weight takes I and one of odd weight takes Z, X and Y.
     Chain ``at`` keeps I at every site and every other chain keeps I alone,
-    so those add at the identity, the first key, in stack order.  The size
-    check counts the mirror as a chain of the stack.
+    so those add at the identity, the first key, in stack order, each other
+    chain's I column multiplied through as its full chain would, zeros
+    included.  The size check counts the mirror as a chain of the stack.
     """
-    chains, kept, keeps = _site_rows(sites)
-    n = chains.shape[1]
+    chains, keeps = _site_rows(sites)
     _check_size(keeps, len(chains) + 1)
     lone = _lone_sites(keeps)
     chain = chains[at]
-    if keeps.sum(axis=-1).max() == 1:
-        # every chain is the identity string
-        keys = np.zeros(1, dtype=np.uint64)
-        coeffs = np.array([_string_coeff(chain[kept[at]], lone)])
-    else:
-        keys, coeffs = _even_last_site(
-            _key_chain(keeps[:-1]), _coeff_chain(chain[:-1], keeps[:-1]), chain[-1], keeps[-1]
-        )
+    keys, coeffs = _even_last_site(
+        _key_chain(keeps[:-1]), _coeff_chain(chain[:-1], keeps[:-1]), chain[-1], keeps[-1]
+    )
     first = coeffs[0]
     coeffs += coeffs
     coeffs += 0.0  # a -0.0 part becomes +0.0, as it does in tensor's sum from zero
     head = 0j
-    for k, counts in enumerate(kept.sum(axis=-1).tolist()):
+    for k, other in enumerate(chains):
         if k == at:
             head = (head + first) + first
-        elif 0 not in counts:
-            head += _string_coeff(chains[k][kept[k]], lone)
+        else:
+            head += _string_coeff(other[:, 0], lone)
     coeffs[0] = head
-    return _pruned(n, keys, coeffs)
+    return _pruned(chains.shape[1], keys, coeffs)
 
 
 def _even_last_site(
@@ -466,9 +452,10 @@ def _even_last_site(
     step is read back while still in cache and the full step is never held.
     One step over the whole prefix kept by a boolean mask gives the same
     bits but built a random-pairs B^2 side 1.5 times slower at n = 9 and 1.9
-    times at n = 11 (Python 3.11, numpy 2.4, 2-core VM).  The blocks are of equal size within one, so none holds a single
-    prefix unless the whole step does: numpy multiplies a lone (1, 1) element
-    by the plain formula, which can round apart from its array loop.
+    times at n = 11 (Python 3.11, numpy 2.4, 2-core VM).  The blocks are of
+    equal size within one, so none holds a single prefix unless the whole
+    step does: numpy multiplies a lone (1, 1) element by the plain formula,
+    which can round apart from its array loop.
     """
     keys = keys << np.uint64(2)
     odd = np.bitwise_count((keys | keys >> _ONE) & _PHASE_BITS) & 1
@@ -495,10 +482,9 @@ def _even_last_site(
     return out_keys, out_coeffs
 
 
-def _site_rows(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _site_rows(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (K, n, 4) complex chains of ``sites`` with entries at or below
-    ``PRUNE_TOL`` zeroed, which entries each chain keeps, and which codes any
-    chain keeps at each site."""
+    ``PRUNE_TOL`` zeroed, and which codes any chain keeps at each site."""
     sites = np.asarray(sites, dtype=np.complex128)
     if sites.ndim not in (2, 3) or sites.shape[-1] != 4 or 0 in sites.shape:
         raise ValueError(f"tensor needs (n, 4) or (K, n, 4) site coefficients, got {sites.shape}")
@@ -508,8 +494,7 @@ def _site_rows(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _check_n(n)
     chains = sites.reshape(-1, n, 4)
     chains = np.where(np.abs(chains) > PRUNE_TOL, chains, 0.0)
-    kept = chains != 0
-    return chains, kept, kept.any(axis=0)
+    return chains, (chains != 0).any(axis=0)
 
 
 def _check_size(keeps: np.ndarray, count: int) -> None:
@@ -523,7 +508,7 @@ def _check_size(keeps: np.ndarray, count: int) -> None:
 
 
 def _lone_sites(keeps: np.ndarray) -> int:
-    """How many leading sites a one-string chain multiplies as lone elements.
+    """How many leading sites an identity chain multiplies as lone elements.
 
     numpy's complex multiply may fuse multiply-adds over arrays but takes a
     lone (1, 1) element by the plain formula, and the two can round apart; a
@@ -550,8 +535,9 @@ def _coeff_chain(chain: np.ndarray, keeps: np.ndarray) -> np.ndarray:
 
 
 def _string_coeff(values: np.ndarray, lone: int) -> complex:
-    """A one-string chain's coefficient: its entries multiplied left to right,
-    the first ``lone`` as lone elements, as its full chain would."""
+    """An identity chain's coefficient: ``values``, its I column, multiplied
+    left to right, the first ``lone`` as lone elements, as its full chain
+    would."""
     coeff = np.multiply.reduce(values[:lone], keepdims=True)
     for value in values[lone:]:
         coeff = coeff * value

@@ -5,8 +5,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,18 @@ from merminlab.settings import PlanarSettings, random_planar, random_settings, s
 from conftest import nelder_mead_oracle
 
 
+# the child imports the package the tests imported, installed or not
+_PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (_PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "merminlab", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 

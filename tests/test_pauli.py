@@ -266,6 +266,10 @@ class TestChainStackOracle:
                 stack[:, :2, 1:] = 0.0
                 stack[:, :2, 0] = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
                 yield stack
+        # one chain of each kind alone, the stack mermin_operator passes
+        for n in range(1, 11):
+            for kind in kinds:
+                yield self._chain(kind, n, rng)[None]
 
     def test_tensor_bits_equal_oracle(self):
         rng = np.random.default_rng(117)
@@ -326,6 +330,17 @@ class TestMirrorSum:
                 if before + after and rng.random() < 0.3:
                     others[0, rng.integers(n), 0] = 0.0  # an identity chain that adds nothing
                 yield np.concatenate((others[:before], chain[None], others[before:])), int(before)
+        # identity chains with a zero in their I column, before and after the chain,
+        # the zero on a site of one code and on one of four
+        for n in (1, 2, 5):
+            values = rng.normal(size=(3, n, 4)) + 1j * rng.normal(size=(3, n, 4))
+            stack = np.zeros((3, n, 4), dtype=complex)
+            stack[:, :, 0] = values[:, :, 0]
+            stack[1] = values[1]
+            stack[1, 0, 1:] = 0.0
+            stack[0, 0, 0] = 0.0
+            stack[2, -1, 0] = 0.0
+            yield stack, 1
 
     @pytest.mark.parametrize("chunk", [4096, 4, 5])
     def test_bits_equal_tensor_of_the_stack_with_its_mirror(self, chunk, monkeypatch):
