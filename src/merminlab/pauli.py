@@ -163,6 +163,8 @@ def _pruned(n: int, keys: np.ndarray, coeffs: np.ndarray) -> "PauliOperator":
     if not np.isfinite(magnitudes).all():
         raise ValueError("Pauli coefficients must be finite")
     keep = magnitudes > PRUNE_TOL
+    if keep.all():
+        return _make(n, keys, coeffs)
     return _make(n, keys[keep], coeffs[keep])
 
 
@@ -579,7 +581,8 @@ def embed(op: PauliOperator, particles: Sequence[int], n: int) -> PauliOperator:
     """Place ``op`` on the 1-based ``particles`` of an n-particle register.
 
     Particle k of ``op`` goes to ``particles[k - 1]``; every other particle
-    gets the identity.
+    gets the identity.  Increasing ``particles`` keep the keys in order, so
+    only others sort them.
     """
     _check_n(n)
     if not len(particles) == len(set(particles)) == op.n or not all(0 < p <= n for p in particles):
@@ -588,6 +591,8 @@ def embed(op: PauliOperator, particles: Sequence[int], n: int) -> PauliOperator:
     for k, p in enumerate(particles):
         code = (op.keys >> np.uint64(2 * (op.n - 1 - k))) & np.uint64(3)
         keys |= code << np.uint64(2 * (n - p))
+    if all(p < q for p, q in zip(particles, particles[1:])):
+        return _make(n, keys, op.coeffs)
     order = np.argsort(keys)
     return _make(n, keys[order], op.coeffs[order])
 

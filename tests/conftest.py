@@ -22,7 +22,9 @@ through ``tensor_oracle`` bit for bit.  Spectrum clustering and the
 closed-form pair moduli keep their first forms here, one ``np.split`` block
 and one ``math.fsum`` per cluster and one ``np.kron`` per site, which the
 package's vectorised forms must reproduce bit for bit; ``spectrum_cases``
-draws the settings they are compared on.
+draws the settings they are compared on.  ``ghz_residual_oracle`` applies B's
+Pauli expansion to the 2^n GHZ statevector through the flip-mask kernel,
+apart from the package's per-site images of |up..up> and |down..down>.
 """
 
 import cmath
@@ -35,7 +37,7 @@ from merminlab import bell, pauli
 from merminlab.pauli import PauliOperator, anticommutator, apply_operator, commutator, embed
 from merminlab.bell import canonical_settings, degenerate_settings, ReductionSpec
 from merminlab.settings import PlanarSettings, random_planar, random_settings
-from merminlab.spectra import CLUSTER_TOL, LhvResult, SpectralReport
+from merminlab.spectra import CLUSTER_TOL, LhvResult, SpectralReport, ghz_state
 
 LETTERS = "IXYZ"
 
@@ -354,6 +356,15 @@ def ghz_expectation_oracle(thetas):
         w *= 1.0 + 1j * cmath.exp(1j * theta)
         v *= 1.0 + 1j * cmath.exp(-1j * theta)
     return 0.5 * (v.real - w.real)
+
+
+def ghz_residual_oracle(planar, sign=1):
+    """||B|GHZ> - sign 2^(n-1) |GHZ>||_2 at phase sum phi_j + pi/2, with B
+    expanded into Pauli strings and applied to the 2^n statevector."""
+    n = planar.n
+    state = ghz_state(n, sign, sum(phi for phi, _ in planar.angles) + math.pi / 2.0)
+    residual = apply_operator(bell.mermin_operator(planar), state) - float(sign * 2 ** (n - 1)) * state
+    return float(np.linalg.norm(residual))
 
 
 def tensor_oracle(sites):

@@ -455,6 +455,28 @@ class TestEmbedding:
         b = embed(single_spin_operator(random_unit_vector(rng)), (3,), 3)
         assert commutator(a, b).num_terms == 0
 
+    @pytest.mark.parametrize("increasing", [True, False])
+    def test_embed_matches_string_oracle(self, increasing):
+        # increasing particles take the path that skips the sort
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(1, n + 1))
+            particles = [int(j) + 1 for j in rng.choice(n, size=k, replace=False)]
+            if increasing:
+                particles.sort()
+            op = random_operator(k, int(rng.integers(1, 30)), rng)
+            want = {}
+            for string, coeff in op.terms.items():
+                letters = ["I"] * n
+                for letter, j in zip(string, particles):
+                    letters[j - 1] = letter
+                want["".join(letters)] = coeff
+            got = embed(op, particles, n)
+            want = PauliOperator(n, want)
+            assert np.array_equal(got.keys, want.keys)
+            assert np.array_equal(got.coeffs, want.coeffs)
+
     def test_embed_rejects_bad_index(self):
         with pytest.raises(ValueError):
             embed(PauliOperator.from_string("X"), (0,), 3)

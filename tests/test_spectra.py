@@ -1,20 +1,23 @@
 """Eigensolves, GHZ eigenvectors, expectation values, and spectrum structure."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from merminlab.pauli import PauliOperator, apply_operator, to_dense
+from merminlab import bell, pauli, spectra
+from merminlab.pauli import PauliOperator, ResourceLimitError, apply_operator, tensor, to_dense
 from merminlab.settings import PlanarSettings, random_planar
 from merminlab.bell import canonical_mermin, canonical_settings, mermin_operator, mermin_spectrum
-from merminlab.spectra import SpectralReport, ghz_state, maximal_eigenvector_check
+from merminlab.spectra import GHZ_LIMIT, SpectralReport, ghz_state, maximal_eigenvector_check
 
 from conftest import (
     cluster_oracle,
     dense_oracle,
     eigen_hermitian,
     expectation,
+    ghz_residual_oracle,
     random_operator,
     spectrum_cases,
 )
@@ -191,6 +194,68 @@ class TestMaximalEigenvector:
             tuple((0.1, 0.1 + math.pi / 2 + 2 * math.pi) for _ in range(3))
         )
         assert maximal_eigenvector_check(p) < 1e-9
+
+    def test_rejects_bad_sign(self):
+        with pytest.raises(ValueError, match="sign"):
+            maximal_eigenvector_check(perpendicular_planar(3), 2)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_operator_oracle(self, n):
+        rng = np.random.default_rng(910 + n)
+        for p in (perpendicular_planar(n), perpendicular_planar(n, rng)):
+            for sign in (1, -1):
+                got = maximal_eigenvector_check(p, sign)
+                assert abs(got - ghz_residual_oracle(p, sign)) <= 1e-12 * 2 ** (n - 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_flip_images_match_flip_mask_oracle(self, n):
+        # P and Pbar as Kronecker chains (columns I, Z, X, Y) applied to the
+        # end states of the basis, on settings with theta_j away from pi/2
+        rng = np.random.default_rng(920 + n)
+        p = random_planar(n, rng)
+        assert all(abs(abs(t) - math.pi / 2) > 1e-3 for t in p.included_angles)
+        sigma = np.array([[0, 0, math.cos(a), math.sin(a)] for a in np.array(p.angles).ravel()])
+        sigma = sigma.reshape(n, 2, 4)
+        up, down = np.zeros(1 << n, dtype=complex), np.zeros(1 << n, dtype=complex)
+        up[0] = down[-1] = 1.0
+        images = [math.ldexp(1.0, n) * c for c in spectra._flip_images(p)]
+        for k, plus in ((0, 1j), (1, -1j)):
+            chain = tensor(sigma[:, 0] + plus * sigma[:, 1])
+            assert np.abs(apply_operator(chain, up) - images[k] * down).max() <= 1e-13 * 2**n
+            assert np.abs(apply_operator(chain, down) - images[k + 2] * up).max() <= 1e-13 * 2**n
+
+    def test_wrong_phase_fails_in_production(self):
+        # the package's residual at a GHZ phase pi/2 short of the rule
+        p = perpendicular_planar(5)
+        chi = sum(phi for phi, _ in p.angles)
+        assert spectra._ghz_residual(p, 1, chi + math.pi / 2) < 1e-12
+        assert spectra._ghz_residual(p, 1, chi) > 1.0
+
+    @pytest.mark.parametrize("n", [200, GHZ_LIMIT])
+    def test_large_n_in_milliseconds(self, n):
+        p = perpendicular_planar(n, np.random.default_rng(930))
+        for sign in (1, -1):
+            start = time.perf_counter()
+            residual = maximal_eigenvector_check(p, sign)
+            assert time.perf_counter() - start < 0.5
+            assert residual / 2.0 ** (n - 1) <= 1e-12
+
+    def test_limit_just_past_the_cap(self):
+        p = perpendicular_planar(GHZ_LIMIT + 1)
+        with pytest.raises(ResourceLimitError, match=f"exceeds limit {GHZ_LIMIT}"):
+            maximal_eigenvector_check(p)
+
+    def test_builds_no_operator_and_no_statevector(self, monkeypatch):
+        p = perpendicular_planar(12, np.random.default_rng(940))
+        want = ghz_residual_oracle(p, -1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the GHZ check must not build B or a statevector")
+
+        monkeypatch.setattr(pauli, "apply_operator", refuse)
+        monkeypatch.setattr(bell, "mermin_operator", refuse)
+        monkeypatch.setattr(spectra, "ghz_state", refuse)
+        assert abs(maximal_eigenvector_check(p, -1) - want) <= 1e-12 * 2**11
 
 
 class TestDegeneracyPairing:
